@@ -37,11 +37,6 @@ class DelayLedger:
     entry_accumulated: float = 0.0
     carried_over: float = 0.0
 
-    def copy(self) -> "DelayLedger":
-        return DelayLedger(
-            self.waiting, self.accumulated, self.entry_accumulated, self.carried_over
-        )
-
 
 @dataclass(frozen=True)
 class ApproachDelaySnapshot:

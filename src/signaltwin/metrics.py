@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .network import ALL_MOVEMENTS, Network, turn_of
 from .delay import segment_delay
@@ -240,8 +240,26 @@ def write_comparison_json(report: ComparisonReport, path: str | Path) -> None:
 # -- recomputation from raw trajectory logs ---------------------------------
 
 
+class TrajectoryRowError(ValueError):
+    """A trajectory row that recomputation cannot use; ``row`` is that row."""
+
+    def __init__(self, row: Sequence, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def _finite(row: Sequence, index: int, name: str) -> float:
+    try:
+        value = float(row[index])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise TrajectoryRowError(row, f"{name} {row[index]!r} is not a finite number")
+    return value
+
+
 def recompute_from_trajectory(
-    rows: Sequence[tuple[float, str, str, float, float, float, float]],
+    rows: Iterable[Sequence],
     network: Network,
     window: tuple[float, float],
     dt: float,
@@ -250,40 +268,66 @@ def recompute_from_trajectory(
     from raw trajectory rows (t, vehicle, segment, position, speed,
     waiting, accumulated).
 
+    ``rows`` is any iterable in file order: every row of a step before any
+    row of a later step.  Fields may be floats or their text; ``t`` and
+    ``accumulated`` are converted where used, the other numeric fields are
+    never read.  One pass keeps only each vehicle's open visit, so memory
+    is bounded by the vehicles seen, not by the rows.  A non-finite ``t``
+    or used ``accumulated``, a ``t`` earlier than the row before, or an
+    unknown segment raises ``TrajectoryRowError``.
+
     A vehicle leaves a segment one step after its last logged row there;
     the stopped delay on a visit is the accumulated-waiting difference
     between its last row and the last row of the previous visit.  Subject
     approaches always continue onto another segment, so a completed
     traversal is detectable by the following visit; exact parity with the
-    engine therefore needs a cool-down of at least one step.
+    engine therefore needs a cool-down of at least one step.  Traversals
+    are returned per vehicle in sorted vehicle-id order.
     """
     subject = network.subject_intersection
-    by_vehicle: dict[str, list[tuple[float, str, float]]] = {}
-    for t, vid, seg_id, _pos, _speed, _wait, acc in rows:
-        by_vehicle.setdefault(vid, []).append((t, seg_id, acc))
-
+    segments = network.segments
     lo, hi = window
+    # vehicle -> [segment id, segment, t_in, last row, accumulated before the visit]
+    open_visits: dict[str, list] = {}
+    # vehicle -> closed subject traversals (control delay, movement, stopped delay)
+    traversals: dict[str, list[tuple[float, str, float]]] = {}
+    t_raw = None
+    t = -math.inf
+    for row in rows:
+        if row[0] != t_raw:
+            t_now = _finite(row, 0, "t")
+            if t_now < t:
+                raise TrajectoryRowError(
+                    row, f"t {row[0]!r} is earlier than t {t_raw!r} of the row before"
+                )
+            t_raw, t = row[0], t_now
+        vid, seg_id = row[1], row[2]
+        visit = open_visits.get(vid)
+        if visit is not None and visit[0] == seg_id:
+            visit[3] = row
+            continue
+        seg = segments.get(seg_id)
+        if seg is None:
+            raise TrajectoryRowError(row, f"unknown segment_id {seg_id!r}")
+        acc_last = 0.0
+        if visit is not None:
+            _, prev, t_in, last, acc_before = visit
+            acc_last = _finite(last, 6, "accumulated_waiting")
+            t_out = float(last[0]) + dt
+            if prev.to_node == subject and lo <= t_out <= hi:
+                turn = turn_of(prev.movement.direction, seg.movement.direction)
+                movement = prev.left_movement if turn == "left" else prev.movement
+                traversals.setdefault(vid, []).append((
+                    segment_delay(t_in, t_out, prev.length, prev.free_flow_speed),
+                    movement.value,
+                    acc_last - acc_before,
+                ))
+        open_visits[vid] = [seg_id, seg, t, row, acc_last]
+
     control: list[float] = []
     movement_delays: dict[str, list[float]] = {m.value: [] for m in ALL_MOVEMENTS}
-    for vid in sorted(by_vehicle):
-        trace = by_vehicle[vid]
-        trace.sort(key=lambda r: r[0])
-        visits: list[tuple[str, float, float, float]] = []  # seg, t_in, t_last, acc_last
-        for t, seg_id, acc in trace:
-            if visits and visits[-1][0] == seg_id:
-                seg, t_in, _, _ = visits[-1]
-                visits[-1] = (seg, t_in, t, acc)
-            else:
-                visits.append((seg_id, t, t, acc))
-        prev_acc = 0.0
-        for i, (seg_id, t_in, t_last, acc_last) in enumerate(visits):
-            seg = network.segments[seg_id]
-            t_out = t_last + dt
-            if i + 1 < len(visits) and seg.to_node == subject and lo <= t_out <= hi:
-                control.append(segment_delay(t_in, t_out, seg.length, seg.free_flow_speed))
-                nxt_dir = network.segments[visits[i + 1][0]].movement.direction
-                turn = turn_of(seg.movement.direction, nxt_dir)
-                movement = seg.left_movement if turn == "left" else seg.movement
-                movement_delays[movement.value].append(acc_last - prev_acc)
-            prev_acc = acc_last
+    for vid in sorted(traversals):
+        for delay, movement, stopped in traversals[vid]:
+            control.append(delay)
+            movement_delays[movement].append(stopped)
     return control, movement_delays
