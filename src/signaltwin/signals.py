@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .network import Movement
+from .network import ALL_MOVEMENTS, Movement
 
 GREEN_PHASES = (0, 2, 4, 6)
 ALL_RED_PHASE = 8
@@ -48,6 +48,30 @@ for _green, _pair in PHASE_MOVEMENTS.items():
 PHASE_TABLE[ALL_RED_PHASE] = {m: "R" for m in Movement}
 
 FLASHING_YELLOW = "FY"
+
+# Int-coded aspects for the simulation hot loop.  ``ASPECT_NAMES[code]``
+# is the letter that ``display`` shows for a code.
+A_GREEN, A_YELLOW, A_RED, A_FLASH = 0, 1, 2, 3
+ASPECT_NAMES = ("G", "Y", "R", FLASHING_YELLOW)
+_ASPECT_CODE = {"G": A_GREEN, "Y": A_YELLOW, "R": A_RED}
+
+# Movement -> position in ``ALL_MOVEMENTS``; the aspect rows below are
+# tuples indexed by this position.
+MOVEMENT_INDEX: dict[Movement, int] = {m: i for i, m in enumerate(ALL_MOVEMENTS)}
+
+# Phase -> aspect row, protected (exact table) and with permissive lefts
+# (a left movement follows its parallel through); a flashing signal shows
+# ``A_FLASH`` to every movement.
+ASPECTS_PROTECTED: tuple[tuple[int, ...], ...] = tuple(
+    tuple(_ASPECT_CODE[PHASE_TABLE[phase][m]] for m in ALL_MOVEMENTS)
+    for phase in range(len(PHASE_TABLE))
+)
+ASPECTS_PERMISSIVE: tuple[tuple[int, ...], ...] = tuple(
+    tuple(ASPECTS_PROTECTED[phase][MOVEMENT_INDEX[m.through if m.is_left else m]]
+          for m in ALL_MOVEMENTS)
+    for phase in range(len(PHASE_TABLE))
+)
+ASPECTS_FLASHING: tuple[int, ...] = (A_FLASH,) * len(ALL_MOVEMENTS)
 
 
 def phase_for_movement(phase: int, movement: Movement) -> str:
@@ -168,9 +192,8 @@ class ControllerTimer:
         """
         if self.status == STATUS_OUT_OF_ORDER:
             return FLASHING_YELLOW
-        if permissive_lefts and movement.is_left:
-            movement = movement.through
-        return PHASE_TABLE[self.current_phase][movement]
+        table = ASPECTS_PERMISSIVE if permissive_lefts else ASPECTS_PROTECTED
+        return ASPECT_NAMES[table[self.current_phase][MOVEMENT_INDEX[movement]]]
 
 
 def _exact_steps(duration: float, dt: float, name: str) -> int:

@@ -29,7 +29,13 @@ from .controllers import (
     meters_to_miles,
     validate_algorithm,
 )
-from .delay import DelayLedger, on_approach_transition, segment_delay, update_waiting
+from .delay import (
+    STOP_SPEED_THRESHOLD,
+    DelayLedger,
+    average_approach_delay,
+    on_approach_transition,
+    segment_delay,
+)
 from .network import (
     ALL_MOVEMENTS,
     Movement,
@@ -39,25 +45,17 @@ from .network import (
     through_movement,
     turn_of,
 )
-from .signals import ControllerTimer, PHASE_TABLE
-
-# Aspect codes used in the hot loop.
-A_GREEN, A_YELLOW, A_RED, A_FLASH = 0, 1, 2, 3
-_ASPECT_CODE = {"G": A_GREEN, "Y": A_YELLOW, "R": A_RED}
-
-# Phase -> movement -> aspect code, protected (exact table) and with
-# permissive lefts (a left movement follows its parallel through).
-_ASPECTS_PROTECTED: dict[int, dict[Movement, int]] = {
-    phase: {m: _ASPECT_CODE[state] for m, state in row.items()}
-    for phase, row in PHASE_TABLE.items()
-}
-_ASPECTS_PERMISSIVE: dict[int, dict[Movement, int]] = {
-    phase: {
-        m: _ASPECT_CODE[row[m.through if m.is_left else m]] for m in row
-    }
-    for phase, row in PHASE_TABLE.items()
-}
-_ASPECTS_FLASHING: dict[Movement, int] = {m: A_FLASH for m in Movement}
+from .signals import (
+    A_FLASH,
+    A_GREEN,
+    A_YELLOW,
+    ASPECTS_FLASHING,
+    ASPECTS_PERMISSIVE,
+    ASPECTS_PROTECTED,
+    MOVEMENT_INDEX,
+    STATUS_OUT_OF_ORDER,
+    ControllerTimer,
+)
 
 SCENARIO_CLASS_BY_ID = {
     1: "low", 2: "low", 3: "low",
@@ -84,8 +82,10 @@ class Flow:
     depart_speed: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.vph < 0.0:
-            raise ValueError(f"vph must be >= 0, got {self.vph}")
+        if not (math.isfinite(self.vph) and self.vph >= 0.0):
+            raise ValueError(f"vph must be finite and >= 0, got {self.vph}")
+        if not (math.isfinite(self.depart_speed) and self.depart_speed >= 0.0):
+            raise ValueError(f"depart_speed must be finite and >= 0, got {self.depart_speed}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ class Vehicle:
         vid: str,
         route: tuple[str, ...],
         turns: tuple[str, ...],
-        stop_movements: tuple[Movement, ...],
+        stop_movements: tuple[int, ...],
         params: VehicleParams,
         depart_time: float,
         depart_speed: float,
@@ -268,7 +268,7 @@ class _SegmentState:
 
     __slots__ = (
         "seg_id", "length", "vff", "half_vff", "lane_count", "pocket_start",
-        "to_node", "at_subject", "lanes", "pocket",
+        "to_node", "at_subject", "lanes", "pocket", "sweep",
     )
 
     def __init__(self, seg, subject: str) -> None:
@@ -282,12 +282,13 @@ class _SegmentState:
         self.at_subject = seg.to_node == subject
         self.lanes: list[list[Vehicle]] = [[] for _ in range(seg.lane_count)]
         self.pocket: list[Vehicle] | None = [] if seg.has_pocket else None
+        # Lanes in sweep order: the pocket first, then the through lanes.
+        self.sweep: tuple[list[Vehicle], ...] = (
+            tuple(self.lanes) if self.pocket is None else (self.pocket, *self.lanes)
+        )
 
     def vehicle_count(self) -> int:
-        n = sum(len(lane) for lane in self.lanes)
-        if self.pocket is not None:
-            n += len(self.pocket)
-        return n
+        return sum(len(lane) for lane in self.sweep)
 
 
 class StepEvents(NamedTuple):
@@ -347,6 +348,8 @@ class _PendingVehicle(NamedTuple):
     vid: str
     route: tuple[str, ...]
     depart_speed: float
+    turns: tuple[str, ...]
+    stop_movements: tuple[int, ...]
 
 
 class Simulation:
@@ -390,25 +393,26 @@ class Simulation:
 
         # Signals: the subject intersection runs the adaptive nine-phase
         # plan; every other intersection runs a fixed-time two-phase plan
-        # with permissive lefts.
-        self._timers: dict[str, ControllerTimer] = {}
-        self._decision_sources: dict[str, Callable[[], int | None]] = {}
-        self._node_list = sorted(network.nodes)
+        # with permissive lefts.  One row per node, in sorted node order:
+        # (node, timer, decision source, phase -> aspect row table).
         fixed_steps = round(2 * fixed_split / self.dt)
         half_fixed = round(fixed_split / self.dt)
-        for node in self._node_list:
+        self._signal_rows: list[tuple] = []
+        for node in sorted(network.nodes):
             timer = ControllerTimer(self.dt)
-            self._timers[node] = timer
             if node == subject:
-                self._decision_sources[node] = self._subject_decision
+                self._subject_timer = timer
+                row = (node, timer, self._subject_decision, ASPECTS_PROTECTED)
             else:
-                self._decision_sources[node] = self._make_fixed_source(fixed_steps, half_fixed)
-        self._subject_timer = self._timers[subject]
+                source = self._make_fixed_source(fixed_steps, half_fixed)
+                row = (node, timer, source, ASPECTS_PERMISSIVE)
+            self._signal_rows.append(row)
         self._subject_node = subject
         self._subject_states = [
             self._states[s] for s in network.incoming(subject)
         ]
-        self._displays: dict[str, dict[Movement, int]] = {}
+        # Node -> aspect row shown this step, indexed by MOVEMENT_INDEX.
+        self._displays: dict[str, tuple[int, ...]] = {}
 
         # Demand: explicit schedule or flows expanded per departure mode.
         self.flows: tuple[Flow, ...] = tuple(flows) if flows else ()
@@ -438,7 +442,7 @@ class Simulation:
             route, turns, stop_movements = self._route_for(origin, destination)
             self.departure_schedule.append((vid, time, origin, destination, route))
             self._pending.setdefault(origin, []).append(
-                _PendingVehicle(time, idx, vid, route, depart_speed)
+                _PendingVehicle(time, idx, vid, route, depart_speed, turns, stop_movements)
             )
         for queue in self._pending.values():
             queue.reverse()  # pop from the end = earliest departure first
@@ -450,9 +454,8 @@ class Simulation:
         self.exited = 0
         self._depart_delay_sum = 0.0
         self._control_delays: list[tuple[float, float]] = []
-        self._movement_stops: dict[Movement, list[tuple[float, float]]] = {
-            m: [] for m in ALL_MOVEMENTS
-        }
+        # Indexed by MOVEMENT_INDEX; keyed by movement name only in result().
+        self._movement_stops: list[list[tuple[float, float]]] = [[] for _ in ALL_MOVEMENTS]
         self.signal_log: list[tuple[float, str, int, str, float]] = []
         self.swap_events: list[dict] = []
         self._pending_algorithm: tuple[str, str] | None = None
@@ -475,9 +478,9 @@ class Simulation:
                     turn = "exit"
                 turns.append(turn)
                 if turn == "left":
-                    stop_movements.append(left_movement(direction))
+                    stop_movements.append(MOVEMENT_INDEX[left_movement(direction)])
                 else:
-                    stop_movements.append(through_movement(direction))
+                    stop_movements.append(MOVEMENT_INDEX[through_movement(direction)])
             meta = (route, tuple(turns), tuple(stop_movements))
             self._route_meta[key] = meta
         return meta
@@ -531,31 +534,16 @@ class Simulation:
                 else:
                     values[left] = 0.0
         else:
-            use_carry = self.algorithm == "dt2"
             for st in self._subject_states:
                 seg = self.network.segments[st.seg_id]
-                total = 0.0
-                count = 0
-                for lane in st.lanes:
-                    for veh in lane:
-                        led = veh.ledger
-                        d = led.accumulated - led.entry_accumulated
-                        if use_carry:
-                            d += led.carried_over
-                        total += d
-                        count += 1
-                values[seg.movement] = total / count if count else 0.0
-                total = 0.0
-                count = 0
-                if st.pocket:
-                    for veh in st.pocket:
-                        led = veh.ledger
-                        d = led.accumulated - led.entry_accumulated
-                        if use_carry:
-                            d += led.carried_over
-                        total += d
-                        count += 1
-                values[seg.left_movement] = total / count if count else 0.0
+                through = (veh.ledger for lane in st.lanes for veh in lane)
+                values[seg.movement] = average_approach_delay(
+                    st.seg_id, through, self.algorithm
+                ).average
+                pocket = (veh.ledger for veh in st.pocket or ())
+                values[seg.left_movement] = average_approach_delay(
+                    st.seg_id, pocket, self.algorithm
+                ).average
         return DecisionInput(values=values, intersection=self._subject_node, time=self.t)
 
     # -- stepping ------------------------------------------------------------
@@ -604,8 +592,8 @@ class Simulation:
                 veh = Vehicle(
                     vid=pend.vid,
                     route=pend.route,
-                    turns=self._turns_for(pend.route),
-                    stop_movements=self._stops_for(pend.route),
+                    turns=pend.turns,
+                    stop_movements=pend.stop_movements,
                     params=params,
                     depart_time=t,
                     depart_speed=min(pend.depart_speed, st.vff),
@@ -618,159 +606,153 @@ class Simulation:
                 inserted.append(pend.vid)
         return inserted
 
-    def _turns_for(self, route: tuple[str, ...]) -> tuple[str, ...]:
-        return self._route_meta[(route[0], route[-1])][1]
-
-    def _stops_for(self, route: tuple[str, ...]) -> tuple[Movement, ...]:
-        return self._route_meta[(route[0], route[-1])][2]
-
     # -- signals ---------------------------------------------------------------
 
     def _tick_signals(self, k: int, t: float) -> None:
         displays = self._displays
         log = self.signal_log
-        for node in self._node_list:
-            timer = self._timers[node]
-            phase = timer.tick(k, self._decision_sources[node])
+        for node, timer, source, table in self._signal_rows:
+            phase = timer.tick(k, source)
             log.append((t, node, phase, timer.stage, timer.green_elapsed))
-            if timer.status == "out_of_order":
-                displays[node] = _ASPECTS_FLASHING
-            elif node == self._subject_node:
-                displays[node] = _ASPECTS_PROTECTED[phase]
+            if timer.status == STATUS_OUT_OF_ORDER:
+                displays[node] = ASPECTS_FLASHING
             else:
-                displays[node] = _ASPECTS_PERMISSIVE[phase]
+                displays[node] = table[phase]
 
     # -- vehicle dynamics --------------------------------------------------------
 
     def _advance_vehicles(self, t: float) -> list[str]:
+        """One Gauss-Seidel sweep: each follower reads its leader's new state.
+
+        Every vehicle is built from ``self.params``, so the per-vehicle
+        products are computed once here; each equals the per-vehicle one
+        bit for bit.
+        """
         arrived: list[str] = []
+        k = self._step_index
         dt = self.dt
         t_out = t + dt
-        min_gap = self.params.min_gap
+        params = self.params
+        min_gap = params.min_gap
+        veh_len = params.length
+        accel_dt = params.max_accel * dt
+        two_decel = 2.0 * params.max_decel
+        all_displays = self._displays
+        cross = self._cross
         for st in self._state_list:
-            if st.pocket:
-                self._advance_lane(st, st.pocket, t_out, min_gap, dt, arrived)
-            for lane in st.lanes:
-                if lane:
-                    self._advance_lane(st, lane, t_out, min_gap, dt, arrived)
-        return arrived
-
-    def _advance_lane(
-        self,
-        st: _SegmentState,
-        lane: list[Vehicle],
-        t_out: float,
-        min_gap: float,
-        dt: float,
-        arrived: list[str],
-    ) -> None:
-        k = self._step_index
-        vff = st.vff
-        seg_len = st.length
-        displays = self._displays.get(st.to_node)
-        i = 0
-        prev_rear = None
-        while i < len(lane):
-            veh = lane[i]
-            if veh.moved_step == k:
-                prev_rear = veh.position - veh.length
-                i += 1
+            sweep = st.sweep
+            if not any(sweep):
                 continue
-            veh.moved_step = k
-            old_pos = veh.position
-            old_speed = veh.speed
-            v = old_speed + veh.max_accel * dt
-            if v > vff:
-                v = vff
-            may_cross = False
-            if prev_rear is not None:
-                allowed = (prev_rear - old_pos - min_gap) / dt
-                if v > allowed:
-                    v = allowed if allowed > 0.0 else 0.0
-            else:
-                # Front vehicle: signal obedience and crossing rules.
-                dist = seg_len - old_pos
-                reach = v * dt + old_speed * old_speed / (2.0 * veh.max_decel) + 5.0
-                if reach < SIGNAL_LOOKAHEAD:
-                    reach = SIGNAL_LOOKAHEAD
-                if displays is None:
-                    may_cross = True  # exit stub, no junction ahead
-                elif dist <= reach:
-                    aspect = displays[veh.stop_movements[veh.route_index]]
-                    if aspect == A_GREEN:
-                        may_cross = True
-                    elif aspect == A_FLASH:
-                        may_cross = True
-                        if v > st.half_vff:
-                            v = st.half_vff
-                    else:
-                        stop = True
-                        if aspect == A_YELLOW:
-                            brake = old_speed * old_speed / (2.0 * veh.max_decel)
-                            if brake > dist - STOP_LINE_MARGIN:
-                                stop = False  # cannot stop comfortably; proceed
-                                may_cross = True
-                        if stop:
-                            room = dist - STOP_LINE_MARGIN
-                            if room <= 0.0:
-                                v = 0.0
-                            else:
-                                allowed = room / dt
-                                brake_v = math.sqrt(2.0 * veh.max_decel * room)
-                                if brake_v < allowed:
-                                    allowed = brake_v
-                                if v > allowed:
-                                    v = allowed
-
-            # Left-turners queue into the pocket; a full pocket acts as a
-            # virtual leader so the through lane backs up realistically.
-            if (
-                st.pocket is not None
-                and not veh.in_pocket
-                and veh.turns[veh.route_index] == "left"
-            ):
-                pocket = st.pocket
-                if pocket:
-                    tail_rear = pocket[-1].position - pocket[-1].length
-                    if tail_rear > old_pos:
-                        allowed = (tail_rear - old_pos - min_gap) / dt
+            vff = st.vff
+            half_vff = st.half_vff
+            seg_len = st.length
+            pocket = st.pocket
+            pocket_start = st.pocket_start
+            displays = all_displays.get(st.to_node)
+            for lane in sweep:
+                n = len(lane)
+                if not n:
+                    continue
+                # Only through-lane vehicles can still commit to the pocket.
+                to_pocket = pocket is not None and lane is not pocket
+                i = 0
+                prev_rear = None
+                while i < n:
+                    veh = lane[i]
+                    if veh.moved_step == k:
+                        # Appended by a crossing earlier in this sweep; all
+                        # vehicles behind it arrived the same way.
+                        break
+                    veh.moved_step = k
+                    old_pos = veh.position
+                    old_speed = veh.speed
+                    v = old_speed + accel_dt
+                    if v > vff:
+                        v = vff
+                    may_cross = False
+                    if prev_rear is not None:
+                        allowed = (prev_rear - old_pos - min_gap) / dt
                         if v > allowed:
                             v = allowed if allowed > 0.0 else 0.0
+                    else:
+                        # Front vehicle: signal obedience and crossing rules.
+                        dist = seg_len - old_pos
+                        reach = v * dt + old_speed * old_speed / two_decel + 5.0
+                        if reach < SIGNAL_LOOKAHEAD:
+                            reach = SIGNAL_LOOKAHEAD
+                        if displays is None:
+                            may_cross = True  # exit stub, no junction ahead
+                        elif dist <= reach:
+                            aspect = displays[veh.stop_movements[veh.route_index]]
+                            if aspect == A_GREEN:
+                                may_cross = True
+                            elif aspect == A_FLASH:
+                                may_cross = True
+                                if v > half_vff:
+                                    v = half_vff
+                            else:
+                                stop = True
+                                if aspect == A_YELLOW:
+                                    brake = old_speed * old_speed / two_decel
+                                    if brake > dist - STOP_LINE_MARGIN:
+                                        stop = False  # cannot stop comfortably; proceed
+                                        may_cross = True
+                                if stop:
+                                    room = dist - STOP_LINE_MARGIN
+                                    if room <= 0.0:
+                                        v = 0.0
+                                    else:
+                                        allowed = room / dt
+                                        brake_v = math.sqrt(two_decel * room)
+                                        if brake_v < allowed:
+                                            allowed = brake_v
+                                        if v > allowed:
+                                            v = allowed
 
-            new_pos = old_pos + v * dt
+                    # Left-turners queue into the pocket; a full pocket acts
+                    # as a virtual leader so the through lane backs up.
+                    turns_left = to_pocket and veh.turns[veh.route_index] == "left"
+                    if turns_left and pocket:
+                        tail_rear = pocket[-1].position - veh_len
+                        if tail_rear > old_pos:
+                            allowed = (tail_rear - old_pos - min_gap) / dt
+                            if v > allowed:
+                                v = allowed if allowed > 0.0 else 0.0
 
-            if may_cross and new_pos >= seg_len - 1e-9:
-                overflow = new_pos - seg_len
-                if self._cross(veh, st, overflow, v, t_out, arrived):
-                    lane.pop(i)
-                    continue
-                # Receiving segment blocked: hold at the line.
-                new_pos = min(new_pos, seg_len - 0.01)
-                if new_pos < old_pos:
-                    new_pos = old_pos
-                v = (new_pos - old_pos) / dt
+                    new_pos = old_pos + v * dt
 
-            veh.position = new_pos
-            veh.speed = v
-            update_waiting(veh.ledger, v, dt)
+                    if may_cross and new_pos >= seg_len - 1e-9:
+                        if cross(veh, st, new_pos - seg_len, v, t_out, arrived):
+                            lane.pop(i)
+                            n -= 1
+                            continue
+                        # Receiving segment blocked: hold at the line.
+                        new_pos = min(new_pos, seg_len - 0.01)
+                        if new_pos < old_pos:
+                            new_pos = old_pos
+                        v = (new_pos - old_pos) / dt
 
-            if (
-                st.pocket is not None
-                and not veh.in_pocket
-                and lane is not st.pocket
-                and veh.turns[veh.route_index] == "left"
-                and new_pos >= st.pocket_start
-            ):
-                pocket = st.pocket
-                tail_rear = pocket[-1].position - pocket[-1].length if pocket else st.length + 1e9
-                if tail_rear - min_gap >= new_pos:
-                    lane.pop(i)
-                    pocket.append(veh)
-                    veh.in_pocket = True
-                    continue
+                    veh.position = new_pos
+                    veh.speed = v
+                    ledger = veh.ledger
+                    if v < STOP_SPEED_THRESHOLD:
+                        ledger.waiting += dt
+                        ledger.accumulated += dt
+                    else:
+                        ledger.waiting = 0.0
 
-            prev_rear = new_pos - veh.length
-            i += 1
+                    if turns_left and new_pos >= pocket_start:
+                        tail_rear = pocket[-1].position - veh_len if pocket else seg_len + 1e9
+                        if tail_rear - min_gap >= new_pos:
+                            lane.pop(i)
+                            n -= 1
+                            pocket.append(veh)
+                            veh.in_pocket = True
+                            continue
+
+                    prev_rear = new_pos - veh_len
+                    i += 1
+        return arrived
 
     def _cross(
         self,
@@ -823,7 +805,11 @@ class Simulation:
         veh.speed = min(v, next_st.vff)
         veh.entry_time = t_out
         veh.in_pocket = False
-        update_waiting(ledger, veh.speed, self.dt)
+        if veh.speed < STOP_SPEED_THRESHOLD:
+            ledger.waiting += self.dt
+            ledger.accumulated += self.dt
+        else:
+            ledger.waiting = 0.0
         best_lane.append(veh)
         return True
 
@@ -834,8 +820,7 @@ class Simulation:
         tr = repr(t)
         for st in self._state_list:
             seg_id = st.seg_id
-            lanes = st.lanes if st.pocket is None else [st.pocket, *st.lanes]
-            for lane in lanes:
+            for lane in st.sweep:
                 for veh in lane:
                     led = veh.ledger
                     sink(
@@ -848,9 +833,7 @@ class Simulation:
 
     def iter_vehicles(self) -> Iterable[Vehicle]:
         for st in self._state_list:
-            if st.pocket:
-                yield from st.pocket
-            for lane in st.lanes:
+            for lane in st.sweep:
                 yield from lane
 
     def result(self) -> SimulationResult:
@@ -858,7 +841,7 @@ class Simulation:
         control = [(t, v) for t, v in self._control_delays if lo <= t <= hi]
         movements = {
             m.value: [(t, v) for t, v in rows if lo <= t <= hi]
-            for m, rows in self._movement_stops.items()
+            for m, rows in zip(ALL_MOVEMENTS, self._movement_stops)
         }
         mean_control = (
             sum(v for _, v in control) / len(control) if control else 0.0

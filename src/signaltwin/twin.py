@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -114,6 +113,13 @@ class TwinSettings:
             raise ValueError("factors must be a nonempty list of positive scalars")
         if self.period <= 0.0:
             raise ValueError("period must be positive")
+        if self.estimate_window <= 0.0:
+            raise ValueError(f"estimate_window must be positive, got {self.estimate_window}")
+        if self.job_warmup + self.job_cooldown > self.job_horizon:
+            raise ValueError(
+                f"job_warmup ({self.job_warmup}) + job_cooldown ({self.job_cooldown}) "
+                f"must not exceed job_horizon ({self.job_horizon})"
+            )
 
 
 def forecast_demands(
@@ -196,6 +202,10 @@ def run_parallel(
     ordered = sorted(jobs, key=lambda j: j.job_id)
     if parallelism <= 1 or len(ordered) <= 1:
         return [_execute_job(network, job, vehicle, carryover_turns) for job in ordered]
+    # Imported here so that commands that never fan out do not load
+    # multiprocessing at start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         futures = [
             pool.submit(_execute_job, network, job, vehicle, carryover_turns)

@@ -231,6 +231,37 @@ def test_unknown_flow_segment_is_runtime_error(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flow, field",
+    [
+        ({"vph": float("nan")}, "vph"),
+        ({"vph": 10.0, "depart_speed": -5.0}, "depart_speed"),
+    ],
+)
+def test_invalid_flow_exit_2(tmp_path, capsys, flow, field):
+    cfg = small_config(
+        tmp_path, flows=[{"origin": "bw-1:n1-0", "destination": "n1-2:be-1", **flow}],
+    )
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "twin_cfg, field",
+    [
+        ({"estimate_window": 0.0}, "estimate_window"),
+        ({"job_warmup": 1000.0, "job_horizon": 900.0}, "job_warmup"),
+        ({"job_warmup": 400.0, "job_cooldown": 100.0, "job_horizon": 450.0}, "job_cooldown"),
+    ],
+)
+def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
+    cfg = small_config(tmp_path, horizon=600.0, warmup=100.0, cooldown=100.0,
+                       twin={"factors": [1.0], "period": 300.0, **twin_cfg})
+    assert run_cli("twin", "--config", str(cfg), "--scenario", "1",
+                   "--out", str(tmp_path / "x")) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_regenerate_from_stored_config(tmp_path):
     # An artifact directory is self-describing: its config regenerates it.
     cfg = small_config(tmp_path)

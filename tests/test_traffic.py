@@ -81,6 +81,12 @@ def test_generate_departures_validation():
         generate_departures(Flow("a", "b", 10.0), 100.0, seed=1, mode="weird")
     with pytest.raises(ValueError):
         Flow("a", "b", -1.0)
+    for vph in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="vph"):
+            Flow("a", "b", vph)
+    for speed in (-5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="depart_speed"):
+            Flow("a", "b", 10.0, speed)
 
 
 # -- scenario catalog ------------------------------------------------------
@@ -323,10 +329,11 @@ def test_spillback_blocks_crossing_on_green():
         if display is None:
             continue
         from signaltwin.network import Movement
+        from signaltwin.signals import MOVEMENT_INDEX
         from signaltwin.traffic import A_GREEN
 
         lane = entry.lanes[0]
-        if lane and display[Movement.EBT] == A_GREEN:
+        if lane and display[MOVEMENT_INDEX[Movement.EBT]] == A_GREEN:
             front = lane[0]
             if front.position > entry.length - 2.0 and front.speed == 0.0:
                 blocked_on_green = True

@@ -315,5 +315,13 @@ def test_twin_settings_validation():
         TwinSettings(factors=(1.0, -0.5))
     with pytest.raises(ValueError):
         TwinSettings(period=0.0)
+    with pytest.raises(ValueError, match="estimate_window"):
+        TwinSettings(estimate_window=0.0)
+    with pytest.raises(ValueError, match="job_warmup"):
+        TwinSettings(job_warmup=1000.0, job_horizon=900.0)
+    with pytest.raises(ValueError, match="job_cooldown"):
+        TwinSettings(job_warmup=600.0, job_cooldown=400.0, job_horizon=900.0)
+    # Warm-up plus cool-down may fill the whole job horizon.
+    TwinSettings(job_warmup=600.0, job_cooldown=300.0, job_horizon=900.0)
     with pytest.raises(ValueError):
         DemandEstimate(window_length=0.0, vph=(1.0,))
