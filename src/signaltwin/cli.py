@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import metrics
 from .controllers import ALGORITHMS, validate_algorithm
@@ -28,7 +30,7 @@ from .traffic import (
     VehicleParams,
     scenario_catalog,
 )
-from .twin import DemandPhase, TwinSettings, live_loop
+from .twin import DemandPhase, TwinSettings, check_demand_program, live_loop
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -67,15 +69,9 @@ class RunConfig:
     out: str = "runs/out"
     twin: dict = field(default_factory=dict)
 
-    _KNOWN = {
-        "network", "scenario", "flows", "base_vph", "ladder_factor", "algorithms",
-        "algorithm", "seed", "dt", "horizon", "warmup", "cooldown", "departure_mode",
-        "carryover_turns", "log_trajectory", "parallelism", "vehicle", "out", "twin",
-    }
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - cls._KNOWN
+        unknown = set(data) - {f.name for f in fields(cls)} - {"algorithm"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
@@ -90,26 +86,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "scenario": self.scenario,
-            "flows": self.flows,
-            "base_vph": self.base_vph,
-            "ladder_factor": self.ladder_factor,
-            "algorithms": list(self.algorithms),
-            "seed": self.seed,
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "warmup": self.warmup,
-            "cooldown": self.cooldown,
-            "departure_mode": self.departure_mode,
-            "carryover_turns": self.carryover_turns,
-            "log_trajectory": self.log_trajectory,
-            "parallelism": self.parallelism,
-            "vehicle": self.vehicle,
-            "out": self.out,
-            "twin": self.twin,
-        }
+        return {**asdict(self), "algorithms": list(self.algorithms)}
 
 
 def _build_network(config: RunConfig) -> Network:
@@ -129,38 +106,54 @@ def _build_network(config: RunConfig) -> Network:
         raise ConfigError(f"invalid network settings: {exc}") from None
 
 
-def _flows_from_dicts(rows: Sequence[dict]) -> tuple[Flow, ...]:
-    try:
-        return tuple(
-            Flow(
+def _flows_from_dicts(rows: Sequence[dict], network: Network, where: str) -> tuple[Flow, ...]:
+    """Flows parsed from JSON rows, each checked to run from a peripheral
+    entry to a peripheral exit segment of ``network``."""
+    entries, exits = network.peripheral_entries(), network.peripheral_exits()
+    flows = []
+    for i, row in enumerate(rows):
+        try:
+            flow = Flow(
                 origin=row["origin"],
                 destination=row["destination"],
                 vph=float(row["vph"]),
                 depart_speed=float(row.get("depart_speed", 0.0)),
             )
-            for row in rows
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid flow entry: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid flow entry {where}[{i}]: {exc}") from None
+        if flow.origin not in entries:
+            raise ConfigError(
+                f"{where}[{i}].origin: {flow.origin!r} is not a peripheral entry segment"
+            )
+        if flow.destination not in exits:
+            raise ConfigError(
+                f"{where}[{i}].destination: {flow.destination!r} is not a peripheral exit segment"
+            )
+        flows.append(flow)
+    return tuple(flows)
+
+
+def _scenario_flows(config: RunConfig, network: Network, k: int, where: str) -> tuple[Flow, ...]:
+    """The flows of demand scenario ``k`` (1..11) of the configured ladder."""
+    if not 1 <= k <= 11:
+        raise ConfigError(f"{where} must be 1..11, got {k}")
+    return scenario_catalog(
+        config.base_vph, config.ladder_factor, network.straight_od_pairs()
+    )[k - 1].flows
 
 
 def _resolve_flows(config: RunConfig, network: Network) -> tuple[tuple[Flow, ...], int | None]:
     if config.flows is not None:
-        return _flows_from_dicts(config.flows), None
+        return _flows_from_dicts(config.flows, network, "flows"), None
     if config.scenario is None:
         raise ConfigError("config needs either a scenario number, scenario file or explicit flows")
     if isinstance(config.scenario, str):
-        return _load_scenario_file(config.scenario)
-    if not 1 <= int(config.scenario) <= 11:
-        raise ConfigError(f"scenario must be 1..11, got {config.scenario}")
-    catalog = scenario_catalog(
-        config.base_vph, config.ladder_factor, network.straight_od_pairs()
-    )
-    scenario = catalog[int(config.scenario) - 1]
-    return scenario.flows, scenario.scenario_id
+        return _load_scenario_file(config.scenario, network)
+    k = int(config.scenario)
+    return _scenario_flows(config, network, k, "scenario"), k
 
 
-def _load_scenario_file(path: str) -> tuple[tuple[Flow, ...], int | None]:
+def _load_scenario_file(path: str, network: Network) -> tuple[tuple[Flow, ...], int | None]:
     try:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -168,10 +161,10 @@ def _load_scenario_file(path: str) -> tuple[tuple[Flow, ...], int | None]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from None
     if isinstance(data, list):
-        return _flows_from_dicts(data), None
+        return _flows_from_dicts(data, network, f"{path}: flows"), None
     if isinstance(data, dict) and "flows" in data:
         scenario_id = data.get("scenario_id")
-        return _flows_from_dicts(data["flows"]), scenario_id
+        return _flows_from_dicts(data["flows"], network, f"{path}: flows"), scenario_id
     raise ConfigError(
         f"scenario file {path} must be a flow list or an object with a 'flows' key"
     )
@@ -195,20 +188,6 @@ def _vehicle_params(config: RunConfig) -> VehicleParams:
 
 
 # -- artifact writers --------------------------------------------------------
-
-
-def _write_departures_csv(sim: Simulation, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(DEPARTURES_HEADER)
-        for vid, time, origin, destination, route in sim.departure_schedule:
-            fh.write(f"{vid},{time!r},{origin},{destination},{'|'.join(route)}\n")
-
-
-def _write_signals_csv(sim: Simulation, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(SIGNALS_HEADER)
-        for t, node, phase, stage, green in sim.signal_log:
-            fh.write(f"{t!r},{node},{phase},{stage},{green!r}\n")
 
 
 def summary_dict(result: SimulationResult, network: Network) -> dict:
@@ -244,6 +223,38 @@ def _write_json(data: dict, path: Path) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+@contextmanager
+def _run_directory(
+    out_dir: Path, config: RunConfig, network: Network
+) -> Iterator[Callable[[str], None] | None]:
+    """Create a run directory and yield its trajectory sink (None when the
+    log is off); the caller then writes the rest with ``_write_run_artifacts``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not config.log_trajectory:
+        yield None
+        return
+    with open(out_dir / "trajectory.csv", "w", newline="") as fh:
+        fh.write(TRAJECTORY_HEADER)
+        yield fh.write
+
+
+def _write_run_artifacts(
+    out_dir: Path, config: RunConfig, network: Network, sim: Simulation, result: SimulationResult
+) -> None:
+    """Write config, network, departures, signals and summary of a run."""
+    _write_json(config.to_dict(), out_dir / "config.json")
+    save_network(network, out_dir / "network.json")
+    with open(out_dir / "departures.csv", "w", newline="") as fh:
+        fh.write(DEPARTURES_HEADER)
+        for vid, time, origin, destination, route in sim.departure_schedule:
+            fh.write(f"{vid},{time!r},{origin},{destination},{'|'.join(route)}\n")
+    with open(out_dir / "signals.csv", "w", newline="") as fh:
+        fh.write(SIGNALS_HEADER)
+        for t, node, phase, stage, green in sim.signal_log:
+            fh.write(f"{t!r},{node},{phase},{stage},{green!r}\n")
+    _write_json(summary_dict(result, network), out_dir / "summary.json")
+
+
 def run_one_simulation(
     config: RunConfig,
     network: Network,
@@ -253,12 +264,7 @@ def run_one_simulation(
     out_dir: Path,
 ) -> SimulationResult:
     """Execute one run and populate its artifact directory."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = out_dir / "trajectory.csv"
-    traj_fh = open(traj_path, "w", newline="") if config.log_trajectory else None
-    try:
-        if traj_fh is not None:
-            traj_fh.write(TRAJECTORY_HEADER)
+    with _run_directory(out_dir, config, network) as sink:
         sim = Simulation(
             network,
             flows=flows,
@@ -269,17 +275,10 @@ def run_one_simulation(
             departure_mode=config.departure_mode,
             carryover_turns=config.carryover_turns,
             scenario_id=scenario_id,
-            trajectory_sink=traj_fh.write if traj_fh is not None else None,
+            trajectory_sink=sink,
         )
         result = sim.run()
-    finally:
-        if traj_fh is not None:
-            traj_fh.close()
-    _write_json(replace(config, algorithms=(algorithm,)).to_dict(), out_dir / "config.json")
-    save_network(network, out_dir / "network.json")
-    _write_departures_csv(sim, out_dir / "departures.csv")
-    _write_signals_csv(sim, out_dir / "signals.csv")
-    _write_json(summary_dict(result, network), out_dir / "summary.json")
+    _write_run_artifacts(out_dir, replace(config, algorithms=(algorithm,)), network, sim, result)
     return result
 
 
@@ -335,11 +334,7 @@ def cmd_twin(config: RunConfig) -> int:
     network = _build_network(config)
     twin_cfg = dict(config.twin)
     program_spec = twin_cfg.pop("demand_program", None)
-    settings_fields = {
-        "factors", "period", "job_horizon", "job_warmup", "job_cooldown",
-        "estimate_window", "initial_algorithm", "parallelism", "departure_mode",
-    }
-    unknown = set(twin_cfg) - settings_fields
+    unknown = set(twin_cfg) - {f.name for f in fields(TwinSettings)}
     if unknown:
         raise ConfigError(f"unknown twin config keys: {sorted(unknown)}")
     if "factors" in twin_cfg:
@@ -354,12 +349,7 @@ def cmd_twin(config: RunConfig) -> int:
 
     program = _resolve_demand_program(config, network, program_spec)
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = out_dir / "trajectory.csv"
-    traj_fh = open(traj_path, "w", newline="") if config.log_trajectory else None
-    try:
-        if traj_fh is not None:
-            traj_fh.write(TRAJECTORY_HEADER)
+    with _run_directory(out_dir, config, network) as sink:
         manifest, result, sim = live_loop(
             network,
             program,
@@ -368,16 +358,9 @@ def cmd_twin(config: RunConfig) -> int:
             clock=_clock(config),
             vehicle=_vehicle_params(config),
             carryover_turns=config.carryover_turns,
-            trajectory_sink=traj_fh.write if traj_fh is not None else None,
+            trajectory_sink=sink,
         )
-    finally:
-        if traj_fh is not None:
-            traj_fh.close()
-    _write_json(config.to_dict(), out_dir / "config.json")
-    save_network(network, out_dir / "network.json")
-    _write_departures_csv(sim, out_dir / "departures.csv")
-    _write_signals_csv(sim, out_dir / "signals.csv")
-    _write_json(summary_dict(result, network), out_dir / "summary.json")
+    _write_run_artifacts(out_dir, config, network, sim, result)
     _write_json(manifest, out_dir / "twin_manifest.json")
     degraded = sum(1 for p in manifest["periods"] if p["degraded"])
     if degraded:
@@ -395,23 +378,27 @@ def _resolve_demand_program(
     if program_spec is None:
         flows, _ = _resolve_flows(config, network)
         return [DemandPhase(0.0, flows)]
-    catalog = None
+    if not isinstance(program_spec, list):
+        raise ConfigError("twin.demand_program must be a list of phases")
     phases = []
-    for entry in program_spec:
-        start = float(entry.get("start", 0.0))
+    for i, entry in enumerate(program_spec):
+        where = f"twin.demand_program[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where} must be an object with 'start' and 'flows' or 'scenario'")
+        start = entry.get("start", 0.0)
+        if not (_is_number(start) and math.isfinite(start)):
+            raise ConfigError(f"{where}.start must be a finite number, got {start!r}")
         if "flows" in entry:
-            phases.append(DemandPhase(start, _flows_from_dicts(entry["flows"])))
+            flows = _flows_from_dicts(entry["flows"], network, f"{where}.flows")
         elif "scenario" in entry:
-            if catalog is None:
-                catalog = scenario_catalog(
-                    config.base_vph, config.ladder_factor, network.straight_od_pairs()
-                )
-            k = int(entry["scenario"])
-            if not 1 <= k <= 11:
-                raise ConfigError(f"scenario must be 1..11, got {k}")
-            phases.append(DemandPhase(start, catalog[k - 1].flows))
+            flows = _scenario_flows(config, network, int(entry["scenario"]), f"{where}.scenario")
         else:
-            raise ConfigError("each demand_program entry needs 'flows' or 'scenario'")
+            raise ConfigError(f"{where} needs 'flows' or 'scenario'")
+        phases.append(DemandPhase(float(start), flows))
+    try:
+        check_demand_program(phases)
+    except ValueError as exc:
+        raise ConfigError(f"twin.{exc}") from None
     return phases
 
 

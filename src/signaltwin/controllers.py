@@ -8,6 +8,12 @@ phase is proposed.  The algorithms differ only in what the observations
 are: vehicles per lane per mile for the baseline, average stopped delay
 on the approach for dt1, and the same plus the delay carried over from
 the previous approach for dt2.
+
+So there is one ``decide``.  The observations are computed by the
+engine (``Simulation._decision_input``): they read its lanes and delay
+ledgers, so a separate observation layer here would still need all of
+the engine's state.  ``DECIDE_BY_ALGORITHM`` keeps one key per token for
+callers that look the rule up by algorithm.
 """
 
 from __future__ import annotations
@@ -65,7 +71,11 @@ def meters_to_miles(length_m: float) -> float:
     return length_m / METERS_PER_MILE
 
 
-def _decide_by_chain(decision_input: DecisionInput) -> Decision:
+def decide(decision_input: DecisionInput) -> Decision:
+    """Propose the green phase serving the movement with the largest value.
+
+    Ties go to the first movement in ``PHASE_MOVEMENTS`` chain order.
+    """
     values = decision_input.values
     best = max(values[m] for m in Movement)
     for phase, pair in PHASE_MOVEMENTS.items():
@@ -76,29 +86,10 @@ def _decide_by_chain(decision_input: DecisionInput) -> Decision:
     return Decision(None, None, best, out_of_order=True)
 
 
-def baseline_decide(decision_input: DecisionInput) -> Decision:
-    """Choose the phase serving the densest approach (veh/lane/mile)."""
-    return _decide_by_chain(decision_input)
+# The algorithms share one rule; their public names stay for callers.
+baseline_decide = dt1_decide = dt2_decide = decide
 
-
-def dt1_decide(decision_input: DecisionInput) -> Decision:
-    """Choose the phase serving the approach with the highest average
-    stopped delay, where each vehicle counts its delay on the current
-    approach only."""
-    return _decide_by_chain(decision_input)
-
-
-def dt2_decide(decision_input: DecisionInput) -> Decision:
-    """Like dt1, but each vehicle's delay additionally includes the
-    stopped delay carried over from its previous approach."""
-    return _decide_by_chain(decision_input)
-
-
-DECIDE_BY_ALGORITHM = {
-    "baseline": baseline_decide,
-    "dt1": dt1_decide,
-    "dt2": dt2_decide,
-}
+DECIDE_BY_ALGORITHM = dict.fromkeys(ALGORITHMS, decide)
 
 
 def validate_algorithm(token: str) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -65,23 +65,13 @@ class ComparisonReport:
     bin_width: float = DEFAULT_BIN_WIDTH
     scenario_id: int | None = None
     seed: int | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "algorithms": self.algorithms,
-            "scenario_id": self.scenario_id,
-            "seed": self.seed,
-            "bin_width": self.bin_width,
-            "mean_control_delay": self.mean_control_delay,
-            "los": self.los,
-            "aasd": self.aasd,
-            "reduction_pct": self.reduction_pct,
-            "dsd": {
-                algo: {m: list(h.counts) for m, h in by_movement.items()}
-                for algo, by_movement in self.dsd.items()
-            },
+        dsd = {
+            algo: {m: list(h.counts) for m, h in by_movement.items()}
+            for algo, by_movement in self.dsd.items()
         }
+        return {**asdict(self), "dsd": dsd}
 
 
 def los_from_control_delay(d: float) -> LosGrade:

@@ -188,16 +188,6 @@ class Network:
 
     # -- queries ---------------------------------------------------------
 
-    def is_boundary(self, node_id: str) -> bool:
-        return node_id in self.boundary_nodes
-
-    def node_position(self, node_id: str) -> tuple[float, float]:
-        if node_id in self.nodes:
-            return self.nodes[node_id]
-        if node_id in self.boundary_nodes:
-            return self.boundary_nodes[node_id]
-        raise UnknownIdError(node_id)
-
     def segment(self, segment_id: str) -> ApproachSegment:
         try:
             return self.segments[segment_id]

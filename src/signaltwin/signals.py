@@ -94,32 +94,20 @@ class ControllerTimer:
     ``tick`` must be called exactly once per simulation step.
     """
 
-    def __init__(
-        self,
-        dt: float = 1.0,
-        initial_phase: int = 0,
-        min_green: float = MIN_GREEN,
-        decision_period: float = DECISION_PERIOD,
-        yellow: float = YELLOW_DURATION,
-        all_red: float = ALL_RED_DURATION,
-    ) -> None:
+    def __init__(self, dt: float = 1.0, initial_phase: int = 0) -> None:
         if initial_phase not in GREEN_PHASES:
             raise ValueError(f"initial phase must be green-serving, got {initial_phase}")
         self.dt = dt
-        self._yellow_steps = _exact_steps(yellow, dt, "yellow")
-        self._all_red_steps = _exact_steps(all_red, dt, "all_red")
-        self._min_green_steps = _exact_steps(min_green, dt, "min_green")
-        self._decision_steps = _exact_steps(decision_period, dt, "decision_period")
+        self._yellow_steps = _exact_steps(YELLOW_DURATION, dt, "yellow")
+        self._all_red_steps = _exact_steps(ALL_RED_DURATION, dt, "all_red")
+        self._min_green_steps = _exact_steps(MIN_GREEN, dt, "min_green")
+        self._decision_steps = _exact_steps(DECISION_PERIOD, dt, "decision_period")
         self.current_phase = initial_phase
         self.stage = STAGE_GREEN
         self.pending_target: int | None = None
         self.status = STATUS_OK
         self._stage_steps = 0
         self._green_steps = 0
-
-    @property
-    def stage_elapsed(self) -> float:
-        return self._stage_steps * self.dt
 
     @property
     def green_elapsed(self) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,6 +65,10 @@ SCENARIO_CLASS_BY_ID = {
 
 # Distance to the stop line at which a stopping vehicle comes to rest.
 STOP_LINE_MARGIN = 1.0
+
+# Split (s) of each phase of the fixed two-phase plan that every
+# intersection except the subject runs.
+FIXED_SPLIT = 30.0
 
 # Signal aspects are consulted within this distance of the stop line (or
 # within braking range, whichever is longer); also the yield zone where a
@@ -153,7 +157,10 @@ class Departure(NamedTuple):
     time: float
     origin: str
     destination: str
-    route: tuple[str, ...] | None
+
+
+# One scheduled departure: (time, flow index, origin, destination, depart_speed).
+DepartureRow = tuple[float, int, str, str, float]
 
 
 def stream_seed(seed: int, label: str) -> np.random.SeedSequence:
@@ -165,12 +172,17 @@ def stream_seed(seed: int, label: str) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, int.from_bytes(digest[:8], "big")])
 
 
+def label_seed(seed: int, label: str) -> int:
+    """Derive an integer root seed in [0, 2**63) from a root seed and a label."""
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") % (2**63)
+
+
 def generate_departures(
     flow: Flow,
     horizon: float,
     seed: int,
     mode: str = "poisson",
-    network: Network | None = None,
 ) -> list[Departure]:
     """Departure schedule for one flow over [0, horizon).
 
@@ -181,9 +193,6 @@ def generate_departures(
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    route = None
-    if network is not None:
-        route = shortest_path(network, flow.origin, flow.destination)
     if flow.vph == 0.0:
         return []
     times: list[float]
@@ -203,7 +212,23 @@ def generate_departures(
             t += rng.exponential(scale)
     else:
         raise ValueError(f"unknown departure mode {mode!r}")
-    return [Departure(t, flow.origin, flow.destination, route) for t in times]
+    return [Departure(t, flow.origin, flow.destination) for t in times]
+
+
+def departure_rows(
+    flows: Sequence[Flow],
+    horizon: float,
+    seed: int,
+    mode: str,
+    start: float = 0.0,
+) -> list[DepartureRow]:
+    """One row per departure of each flow over [start, start + horizon),
+    flow by flow; the row's flow index is the flow's position in ``flows``."""
+    return [
+        (start + dep.time, idx, flow.origin, flow.destination, flow.depart_speed)
+        for idx, flow in enumerate(flows)
+        for dep in generate_departures(flow, horizon, seed, mode)
+    ]
 
 
 def scenario_catalog(
@@ -232,8 +257,7 @@ class Vehicle:
 
     __slots__ = (
         "vid", "route", "route_index", "position", "speed", "length",
-        "max_accel", "max_decel", "ledger", "entry_time", "depart_time",
-        "turns", "stop_movements", "in_pocket", "moved_step",
+        "ledger", "entry_time", "turns", "stop_movements", "in_pocket", "moved_step",
     )
 
     def __init__(
@@ -243,7 +267,7 @@ class Vehicle:
         turns: tuple[str, ...],
         stop_movements: tuple[int, ...],
         params: VehicleParams,
-        depart_time: float,
+        entry_time: float,
         depart_speed: float,
     ) -> None:
         self.vid = vid
@@ -252,11 +276,8 @@ class Vehicle:
         self.position = params.length
         self.speed = depart_speed
         self.length = params.length
-        self.max_accel = params.max_accel
-        self.max_decel = params.max_decel
         self.ledger = DelayLedger()
-        self.entry_time = depart_time
-        self.depart_time = depart_time
+        self.entry_time = entry_time
         self.turns = turns
         self.stop_movements = stop_movements
         self.in_pocket = False
@@ -323,22 +344,13 @@ class SimulationResult:
 
     def to_dict(self) -> dict:
         return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "scenario_id": self.scenario_id,
+            **asdict(self),
             "window": list(self.window),
-            "inserted": self.inserted,
-            "exited": self.exited,
-            "deferred_insertions": self.deferred_insertions,
-            "mean_depart_delay": self.mean_depart_delay,
-            "mean_control_delay": self.mean_control_delay,
-            "measured_traversals": self.measured_traversals,
             "control_delays": [[t, v] for t, v in self.control_delays],
             "movement_stopped_delays": {
                 m: [[t, v] for t, v in rows]
                 for m, rows in sorted(self.movement_stopped_delays.items())
             },
-            "error": self.error,
         }
 
 
@@ -360,7 +372,7 @@ class Simulation:
         network: Network,
         flows: Sequence[Flow] | None = None,
         *,
-        schedule: Sequence[tuple[float, int, str, str, float]] | None = None,
+        schedule: Sequence[DepartureRow] | None = None,
         algorithm: str = "baseline",
         seed: int = 0,
         clock: SimClock | None = None,
@@ -368,7 +380,6 @@ class Simulation:
         departure_mode: str = "poisson",
         carryover_turns: bool = True,
         scenario_id: int | None = None,
-        fixed_split: float = 30.0,
         trajectory_sink: Callable[[str], None] | None = None,
     ) -> None:
         self.network = network
@@ -395,8 +406,8 @@ class Simulation:
         # plan; every other intersection runs a fixed-time two-phase plan
         # with permissive lefts.  One row per node, in sorted node order:
         # (node, timer, decision source, phase -> aspect row table).
-        fixed_steps = round(2 * fixed_split / self.dt)
-        half_fixed = round(fixed_split / self.dt)
+        fixed_steps = round(2 * FIXED_SPLIT / self.dt)
+        half_fixed = round(FIXED_SPLIT / self.dt)
         self._signal_rows: list[tuple] = []
         for node in sorted(network.nodes):
             timer = ControllerTimer(self.dt)
@@ -416,18 +427,11 @@ class Simulation:
 
         # Demand: explicit schedule or flows expanded per departure mode.
         self.flows: tuple[Flow, ...] = tuple(flows) if flows else ()
-        rows: list[tuple[float, int, str, str, float]] = []
-        if schedule is not None:
-            if flows:
-                raise ValueError("pass either flows or an explicit schedule, not both")
-            rows = sorted(schedule, key=lambda r: (r[0], r[1]))
-        else:
-            for idx, flow in enumerate(self.flows):
-                for dep in generate_departures(
-                    flow, self.clock.horizon, seed, departure_mode
-                ):
-                    rows.append((dep.time, idx, flow.origin, flow.destination, flow.depart_speed))
-            rows.sort(key=lambda r: (r[0], r[1]))
+        if schedule is None:
+            schedule = departure_rows(self.flows, self.clock.horizon, seed, departure_mode)
+        elif flows:
+            raise ValueError("pass either flows or an explicit schedule, not both")
+        rows = sorted(schedule, key=lambda r: (r[0], r[1]))
 
         self._route_meta: dict[tuple[str, str], tuple] = {}
         self._pending: dict[str, list[_PendingVehicle]] = {}
@@ -595,7 +599,7 @@ class Simulation:
                     turns=pend.turns,
                     stop_movements=pend.stop_movements,
                     params=params,
-                    depart_time=t,
+                    entry_time=t,
                     depart_speed=min(pend.depart_speed, st.vff),
                 )
                 best_lane.append(veh)

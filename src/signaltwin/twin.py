@@ -11,22 +11,23 @@ at the next green-stage decision point.  Everything is reproducible from
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .controllers import ALGORITHMS
 from .metrics import los_from_control_delay
 from .network import Network
 from .traffic import (
+    DepartureRow,
     Flow,
     SimClock,
     Simulation,
     SimulationResult,
     VehicleParams,
-    generate_departures,
+    departure_rows,
+    label_seed,
 )
 
 # The nine descriptive dimensions recorded in every run manifest:
@@ -113,6 +114,8 @@ class TwinSettings:
             raise ValueError("factors must be a nonempty list of positive scalars")
         if self.period <= 0.0:
             raise ValueError("period must be positive")
+        if not isinstance(self.parallelism, int) or self.parallelism < 1:
+            raise ValueError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         if self.estimate_window <= 0.0:
             raise ValueError(f"estimate_window must be positive, got {self.estimate_window}")
         if self.job_warmup + self.job_cooldown > self.job_horizon:
@@ -147,11 +150,6 @@ def match_demand(measured: Sequence[float], candidates: Sequence[Sequence[float]
             best_dist = dist
             best_index = i
     return best_index
-
-
-def _job_seed(seed: int, label: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63)
 
 
 def _execute_job(
@@ -197,7 +195,8 @@ def run_parallel(
 
     Output is invariant to the degree of parallelism: each job is a pure
     function of its own seed and inputs, and a failure is captured in
-    that job's result slot without affecting the others.
+    that job's result slot without affecting the others.  At most one
+    worker per job is started.
     """
     ordered = sorted(jobs, key=lambda j: j.job_id)
     if parallelism <= 1 or len(ordered) <= 1:
@@ -206,7 +205,7 @@ def run_parallel(
     # multiprocessing at start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(ordered))) as pool:
         futures = [
             pool.submit(_execute_job, network, job, vehicle, carryover_turns)
             for job in ordered
@@ -217,14 +216,12 @@ def run_parallel(
 def select_controller(
     results: Sequence[tuple[SimulationJob, SimulationResult]],
     matched_demand: int,
-    metric: str = "mean_control_delay",
 ) -> TwinSelection:
-    """Pick the algorithm with the lowest score for the matched demand.
+    """Pick the algorithm with the lowest mean control delay for the
+    matched demand.
 
     Ties break by algorithm registration order (baseline, dt1, dt2).
     """
-    if metric != "mean_control_delay":
-        raise ValueError(f"unsupported selection metric {metric!r}")
     if not results:
         raise ValueError("select_controller needs at least one result")
     scored = []
@@ -238,34 +235,46 @@ def select_controller(
 # -- the live loop -----------------------------------------------------------
 
 
+def check_demand_program(demand_program: Sequence[DemandPhase]) -> None:
+    """Raise ValueError, naming the entry, unless the program is nonempty,
+    its earliest phase starts at 0 and every phase lists the same ordered
+    origin/destination pairs (the live flow indices)."""
+    if not demand_program:
+        raise ValueError("demand_program must hold at least one phase")
+    first = min(phase.start for phase in demand_program)
+    if first != 0.0:
+        raise ValueError(f"demand_program: the earliest start must be 0, got {first}")
+    ods = [(f.origin, f.destination) for f in demand_program[0].flows]
+    for i, phase in enumerate(demand_program):
+        if [(f.origin, f.destination) for f in phase.flows] != ods:
+            raise ValueError(
+                f"demand_program[{i}].flows: every phase must list the same "
+                "origin/destination pairs, in the same order, as demand_program[0]"
+            )
+
+
 def build_live_schedule(
     demand_program: Sequence[DemandPhase],
     horizon: float,
     seed: int,
     departure_mode: str = "poisson",
-) -> list[tuple[float, int, str, str, float]]:
+) -> list[DepartureRow]:
     """Expand a piecewise-constant demand program into a departure schedule.
 
     Every phase draws from its own derived stream, so editing one phase
     never perturbs the others.
     """
+    check_demand_program(demand_program)
     phases = sorted(demand_program, key=lambda p: p.start)
-    ods = [(f.origin, f.destination) for f in phases[0].flows]
-    for phase in phases:
-        if [(f.origin, f.destination) for f in phase.flows] != ods:
-            raise ValueError("all demand phases must share the same ordered OD list")
-    schedule: list[tuple[float, int, str, str, float]] = []
+    schedule: list[DepartureRow] = []
     for i, phase in enumerate(phases):
         end = phases[i + 1].start if i + 1 < len(phases) else horizon
         duration = end - phase.start
-        if duration <= 0.0:
-            continue
-        phase_seed = _job_seed(seed, f"live-phase:{i}")
-        for j, flow in enumerate(phase.flows):
-            for dep in generate_departures(flow, duration, phase_seed, departure_mode):
-                schedule.append(
-                    (phase.start + dep.time, j, flow.origin, flow.destination, flow.depart_speed)
-                )
+        if duration > 0.0:
+            phase_seed = label_seed(seed, f"live-phase:{i}")
+            schedule += departure_rows(
+                phase.flows, duration, phase_seed, departure_mode, phase.start
+            )
     schedule.sort(key=lambda r: (r[0], r[1]))
     return schedule
 
@@ -336,7 +345,7 @@ def live_loop(
                         job_id=f"p{p:03d}-c{c}-{algo}",
                         flows=flows,
                         algorithm=algo,
-                        seed=_job_seed(seed, f"twin:p{p}:c{c}:{algo}"),
+                        seed=label_seed(seed, f"twin:p{p}:c{c}:{algo}"),
                         horizon=settings.job_horizon,
                         warmup=settings.job_warmup,
                         cooldown=settings.job_cooldown,
@@ -390,17 +399,7 @@ def live_loop(
         "schema_version": 1,
         "dimensions": default_dimensions(),
         "seed": seed,
-        "settings": {
-            "factors": list(settings.factors),
-            "period": settings.period,
-            "job_horizon": settings.job_horizon,
-            "job_warmup": settings.job_warmup,
-            "job_cooldown": settings.job_cooldown,
-            "estimate_window": settings.estimate_window,
-            "initial_algorithm": settings.initial_algorithm,
-            "parallelism": settings.parallelism,
-            "departure_mode": settings.departure_mode,
-        },
+        "settings": {**asdict(settings), "factors": list(settings.factors)},
         "periods": period_records,
         "swap_events": list(sim.swap_events),
         "live_summary": {

@@ -220,15 +220,49 @@ def test_scenario_file_missing(tmp_path):
     assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
 
 
-def test_unknown_flow_segment_is_runtime_error(tmp_path, capsys):
-    # Structurally valid config whose flow references a missing segment
-    # fails during the run, not during config validation.
-    cfg = small_config(
-        tmp_path,
-        flows=[{"origin": "bw-9:n9-9", "destination": "n1-2:be-1", "vph": 50.0}],
-    )
-    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 3
-    assert "runtime error" in capsys.readouterr().err
+FLOW = {"origin": "bw-1:n1-0", "destination": "n1-2:be-1", "vph": 60.0}
+OTHER_FLOW = {"origin": "be-1:n1-2", "destination": "n1-0:bw-1", "vph": 60.0}
+
+
+def program(*phases):
+    return {"twin": {"factors": [1.0], "period": 300.0, "demand_program": list(phases)}}
+
+
+@pytest.mark.parametrize(
+    "command, extra, field",
+    [
+        pytest.param("simulate", {"flows": [{**FLOW, "origin": "nope"}]},
+                     "flows[0].origin", id="flows-unknown-origin"),
+        pytest.param("simulate", {"flows": [{**FLOW, "origin": "n1-0:n1-1"}]},
+                     "flows[0].origin", id="flows-origin-not-entry"),
+        pytest.param("simulate", {"flows": [FLOW, {**FLOW, "destination": "bw-1:n1-0"}]},
+                     "flows[1].destination", id="flows-destination-not-exit"),
+        pytest.param("simulate", {"scenario_file": {"flows": [{**FLOW, "origin": "nope"}]}},
+                     "flows[0].origin", id="scenario-file-origin"),
+        pytest.param("twin", program({"start": 0.0, "flows": [{**FLOW, "destination": "x"}]}),
+                     "twin.demand_program[0].flows[0].destination", id="program-destination"),
+        pytest.param("twin", program({"start": 600.0, "scenario": 1}),
+                     "twin.demand_program: the earliest start must be 0", id="program-late-start"),
+        pytest.param("twin", program(), "twin.demand_program", id="program-empty"),
+        pytest.param("twin", program({"start": "x", "scenario": 1}),
+                     "twin.demand_program[0].start", id="program-start-not-number"),
+        pytest.param("twin", program({"start": 0.0, "flows": [FLOW]},
+                                     {"start": 300.0, "flows": [OTHER_FLOW]}),
+                     "twin.demand_program[1].flows", id="program-od-lists-differ"),
+    ],
+)
+def test_invalid_demand_exit_2(tmp_path, capsys, command, extra, field):
+    # Demand that cannot run on the network is refused before any run.
+    extra = dict(extra)
+    if "scenario_file" in extra:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(extra.pop("scenario_file")))
+        extra["scenario"] = str(path)
+    cfg = small_config(tmp_path, horizon=600.0, warmup=100.0, cooldown=100.0, **extra)
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -252,6 +286,7 @@ def test_invalid_flow_exit_2(tmp_path, capsys, flow, field):
         ({"estimate_window": 0.0}, "estimate_window"),
         ({"job_warmup": 1000.0, "job_horizon": 900.0}, "job_warmup"),
         ({"job_warmup": 400.0, "job_cooldown": 100.0, "job_horizon": 450.0}, "job_cooldown"),
+        ({"parallelism": 0}, "parallelism"),
     ],
 )
 def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from signaltwin.controllers import (
     ALGORITHMS,
+    DECIDE_BY_ALGORITHM,
     DecisionInput,
     approach_density,
     baseline_decide,
@@ -84,12 +85,12 @@ def test_dt2_large_carried_left():
     assert dt2_decide(make_input(values)).proposed_phase == 6
 
 
-@pytest.mark.parametrize("decide", [baseline_decide, dt1_decide, dt2_decide])
-def test_thousand_random_inputs_match_oracle(decide):
-    rng = random.Random(hash(decide.__name__) & 0xFFFF)
+@pytest.mark.parametrize("token", ALGORITHMS, ids=lambda token: f"{token}_decide")
+def test_thousand_random_inputs_match_oracle(token):
+    rng = random.Random(ALGORITHMS.index(token))
     for _ in range(1000):
         values = {m: rng.choice([0.0, rng.uniform(0, 50)]) for m in Movement}
-        decision = decide(make_input(values))
+        decision = DECIDE_BY_ALGORITHM[token](make_input(values))
         phase, movement, best = oracle(values)
         assert decision.proposed_phase == phase
         assert decision.winning_movement is movement

@@ -36,7 +36,12 @@ TWIN_CONFIG = {
     "twin": {"factors": [0.8, 1.0, 1.2], "period": 300.0,
              "job_horizon": 450.0, "job_warmup": 150.0},
 }
-RUN_ARTIFACTS = ("trajectory.csv", "signals.csv", "summary.json", "report.json")
+RUN_ARTIFACTS = (
+    "trajectory.csv", "signals.csv", "summary.json", "report.json",
+    "network.json", "departures.csv", "config.json",
+)
+# config.json records the output directory, which differs between runs.
+OUT_PLACEHOLDER = "<out>"
 
 # case name -> (config, commands run on it in order, digested artifacts)
 CASES = {
@@ -60,7 +65,17 @@ def case_digests(name: str, work_dir: Path) -> dict[str, str]:
     cfg_path.write_text(json.dumps({**config, "out": str(out)}))
     for command in commands:
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0, command
-    return {a: hashlib.sha256((out / a).read_bytes()).hexdigest() for a in artifacts}
+    return {a: hashlib.sha256(_artifact_bytes(out, a)).hexdigest() for a in artifacts}
+
+
+def _artifact_bytes(out: Path, artifact: str) -> bytes:
+    data = (out / artifact).read_bytes()
+    if artifact != "config.json":
+        return data
+    config = json.loads(data)
+    assert config["out"] == str(out)
+    config["out"] = OUT_PLACEHOLDER
+    return (json.dumps(config, indent=2, sort_keys=True) + "\n").encode()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

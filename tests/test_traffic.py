@@ -68,12 +68,6 @@ def test_departures_deterministic_per_flow_and_seed():
     assert [d.time for d in a] != [d.time for d in other]
 
 
-def test_departures_carry_route(grid3):
-    flow = Flow("bw-1:n1-0", "n1-2:be-1", 100.0)
-    deps = generate_departures(flow, 600.0, seed=1, network=grid3)
-    assert deps[0].route == ("bw-1:n1-0", "n1-0:n1-1", "n1-1:n1-2", "n1-2:be-1")
-
-
 def test_generate_departures_validation():
     with pytest.raises(ValueError):
         generate_departures(Flow("a", "b", 10.0), 0.0, seed=1)

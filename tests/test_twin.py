@@ -123,8 +123,6 @@ def test_select_controller_examples():
 
     with pytest.raises(ValueError):
         select_controller([], matched_demand=0)
-    with pytest.raises(ValueError):
-        select_controller(rows, matched_demand=0, metric="throughput")
 
 
 def test_run_parallel_empty(grid3):
@@ -136,6 +134,36 @@ def test_run_parallel_parallelism_invariant(grid3):
     serial = run_parallel(grid3, jobs, parallelism=1)
     parallel = run_parallel(grid3, jobs, parallelism=4)
     assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+
+def test_run_parallel_starts_at_most_one_worker_per_job(grid3, monkeypatch):
+    # An inline stand-in records max_workers; no real pool is started.
+    import concurrent.futures
+
+    requested = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    jobs = make_jobs(grid3, [60.0], horizon=120.0, warmup=0.0)
+    serial = [r.to_dict() for r in run_parallel(grid3, jobs, parallelism=1)]
+    for parallelism in (5000, 2):
+        results = run_parallel(grid3, jobs, parallelism=parallelism)
+        assert [r.to_dict() for r in results] == serial
+    assert requested == [3, 2]
 
 
 def test_run_parallel_matches_direct_serial_rerun(grid3):
@@ -321,6 +349,9 @@ def test_twin_settings_validation():
         TwinSettings(job_warmup=1000.0, job_horizon=900.0)
     with pytest.raises(ValueError, match="job_cooldown"):
         TwinSettings(job_warmup=600.0, job_cooldown=400.0, job_horizon=900.0)
+    for parallelism in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="parallelism"):
+            TwinSettings(parallelism=parallelism)
     # Warm-up plus cool-down may fill the whole job horizon.
     TwinSettings(job_warmup=600.0, job_cooldown=300.0, job_horizon=900.0)
     with pytest.raises(ValueError):
