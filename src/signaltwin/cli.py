@@ -10,19 +10,23 @@ artifact byte for byte.  Exit codes: 0 ok, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
-import math
 import sys
-from contextlib import contextmanager
+import typing
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
+from types import UnionType
 from typing import Callable, Iterator, Sequence
 
 from . import metrics
 from .controllers import ALGORITHMS, validate_algorithm
 from .network import Network, build_grid, load_network, save_network
 from .traffic import (
+    DEPARTURE_MODES,
     Flow,
     SimClock,
     Simulation,
@@ -43,14 +47,17 @@ class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
 
 
+def _default_network() -> dict:
+    """A 3 x 3 grid, with ``build_grid``'s defaults for everything else."""
+    grid = inspect.signature(build_grid).parameters.values()
+    return {"rows": 3, "cols": 3, **{p.name: p.default for p in grid if p.default is not p.empty}}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one command invocation."""
+    """The settings of one command invocation, exactly as given."""
 
-    network: dict = field(default_factory=lambda: {
-        "rows": 3, "cols": 3, "segment_length": 650.0, "lane_count": 2,
-        "pocket_length": 80.0, "free_flow_speed": 13.89,
-    })
+    network: dict = field(default_factory=_default_network)
     scenario: int | str | None = 1
     flows: list[dict] | None = None
     base_vph: float = 40.0
@@ -71,39 +78,123 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - {f.name for f in fields(cls)} - {"algorithm"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(data)
-        if "algorithm" in data:
-            token = data.pop("algorithm")
-            data["algorithms"] = token if isinstance(token, list) else [token]
-        if "algorithms" in data:
-            data["algorithms"] = tuple(data["algorithms"])
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        # Values stay as given (config.json records them); algorithms becomes a tuple.
+        algorithms = _checked(data, cls).get("algorithms")
+        return cls(**data) if algorithms is None else cls(**{**data, "algorithms": algorithms})
 
     def to_dict(self) -> dict:
         return {**asdict(self), "algorithms": list(self.algorithms)}
 
 
-def _build_network(config: RunConfig) -> Network:
-    net_cfg = config.network
-    if "file" in net_cfg:
-        return load_network(net_cfg["file"])
+# -- resolving a config --------------------------------------------------------
+
+
+@contextmanager
+def _config_errors(prefix: str) -> Iterator[None]:
+    """Raise what the block raises as a ConfigError whose message starts
+    with ``prefix``, the section or field being resolved."""
     try:
-        return build_grid(
-            rows=int(net_cfg.get("rows", 3)),
-            cols=int(net_cfg.get("cols", 3)),
-            segment_length=float(net_cfg.get("segment_length", 650.0)),
-            lane_count=int(net_cfg.get("lane_count", 2)),
-            pocket_length=float(net_cfg.get("pocket_length", 80.0)),
-            free_flow_speed=float(net_cfg.get("free_flow_speed", 13.89)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid network settings: {exc}") from None
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+@cache
+def _hints(spec: Callable) -> dict:
+    return {k: v for k, v in typing.get_type_hints(spec).items() if k != "return"}
+
+
+def _checked(values: dict, spec: Callable | dict, where: str = "") -> dict:
+    """``values`` with every key checked against the parameters of ``spec``
+    (a dataclass, a function, or a dict of type hints) and every value
+    made its declared type by ``_typed``."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where or 'config'} must be an object, got {values!r}")
+    hints = spec if isinstance(spec, dict) else _hints(spec)
+    checked = {}
+    for key, value in values.items():
+        path = f"{where}.{key}" if where else key
+        if key not in hints:
+            raise ConfigError(f"unknown key {path!r}; valid keys: {', '.join(hints)}")
+        checked[key] = _typed(value, hints[key], path)
+    return checked
+
+
+def _typed(value, hint, path: str):
+    """``value`` as type ``hint``: a float takes a finite JSON int or float,
+    an int or bool only itself (a bool is never a number), a tuple a JSON
+    list, and a union its first member that fits."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is UnionType or origin is typing.Union:
+        for member in args:
+            with suppress(ConfigError):
+                return _typed(value, member, path)
+    elif origin in (tuple, list):
+        if isinstance(value, (list, tuple)):
+            return origin(_typed(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+    elif hint is float:
+        if _is_number(value) and abs(value) <= sys.float_info.max:  # finite, also as a float
+            return float(value)
+    elif isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
+        return value
+    name = str(hint) if origin else hint.__name__
+    raise ConfigError(f"{path} must be {name}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class _Resolved:
+    """What a command runs, built from its config before anything is written."""
+
+    config: RunConfig
+    network: Network
+    clock: SimClock
+    vehicle: VehicleParams
+    flows: tuple[Flow, ...] = ()
+    scenario_id: int | None = None
+    program: list[DemandPhase] | None = None  # twin only
+    settings: TwinSettings | None = None  # twin only
+
+
+def _resolve(config: RunConfig, command: str) -> _Resolved:
+    """Everything ``command`` runs, resolved from ``config``; commands call
+    this before they create any file, and every problem is a ConfigError."""
+    with _config_errors("algorithms: "):
+        for token in config.algorithms:
+            validate_algorithm(token)
+    if command == "simulate" and len(config.algorithms) != 1:
+        raise ConfigError("simulate takes exactly one algorithm")
+    if command == "compare" and (len(config.algorithms) < 2 or "baseline" not in config.algorithms):
+        raise ConfigError("compare needs at least two algorithms, baseline among them")
+    if config.departure_mode not in DEPARTURE_MODES:
+        raise ConfigError(f"departure_mode {config.departure_mode!r} is not in {DEPARTURE_MODES}")
+    times = {f.name: getattr(config, f.name) for f in fields(SimClock)}
+    with _config_errors(""):
+        clock = SimClock(**_checked(times, SimClock))
+    with _config_errors("vehicle: "):
+        vehicle = VehicleParams(**_checked(config.vehicle, VehicleParams, "vehicle"))
+    network = _resolve_network(config.network)
+    if command != "twin":
+        return _Resolved(config, network, clock, vehicle, *_resolve_flows(config, network))
+    twin = {"parallelism": config.parallelism, "departure_mode": config.departure_mode,
+            **config.twin}
+    program_spec = twin.pop("demand_program", None)
+    with _config_errors("twin."):
+        settings = TwinSettings(**_checked(twin, TwinSettings, "twin"))
+    with _config_errors("twin.initial_algorithm: "):
+        validate_algorithm(settings.initial_algorithm)
+    program = _resolve_demand_program(config, network, program_spec)
+    return _Resolved(config, network, clock, vehicle, program=program, settings=settings)
+
+
+def _resolve_network(spec: dict) -> Network:
+    if "file" in spec:
+        path = _checked(spec, {"file": str}, "network")["file"]
+        with _config_errors("network.file: "):
+            return load_network(path)
+    with _config_errors("network: "):
+        return build_grid(**_checked({**_default_network(), **spec}, build_grid, "network"))
 
 
 def _flows_from_dicts(rows: Sequence[dict], network: Network, where: str) -> tuple[Flow, ...]:
@@ -112,15 +203,8 @@ def _flows_from_dicts(rows: Sequence[dict], network: Network, where: str) -> tup
     entries, exits = network.peripheral_entries(), network.peripheral_exits()
     flows = []
     for i, row in enumerate(rows):
-        try:
-            flow = Flow(
-                origin=row["origin"],
-                destination=row["destination"],
-                vph=float(row["vph"]),
-                depart_speed=float(row.get("depart_speed", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid flow entry {where}[{i}]: {exc}") from None
+        with _config_errors(f"{where}[{i}]: "):
+            flow = Flow(**_checked(row, Flow, f"{where}[{i}]"))
         if flow.origin not in entries:
             raise ConfigError(
                 f"{where}[{i}].origin: {flow.origin!r} is not a peripheral entry segment"
@@ -137,9 +221,10 @@ def _scenario_flows(config: RunConfig, network: Network, k: int, where: str) -> 
     """The flows of demand scenario ``k`` (1..11) of the configured ladder."""
     if not 1 <= k <= 11:
         raise ConfigError(f"{where} must be 1..11, got {k}")
-    return scenario_catalog(
-        config.base_vph, config.ladder_factor, network.straight_od_pairs()
-    )[k - 1].flows
+    with _config_errors(f"{where}: "):
+        return scenario_catalog(
+            config.base_vph, config.ladder_factor, network.straight_od_pairs()
+        )[k - 1].flows
 
 
 def _resolve_flows(config: RunConfig, network: Network) -> tuple[tuple[Flow, ...], int | None]:
@@ -149,42 +234,40 @@ def _resolve_flows(config: RunConfig, network: Network) -> tuple[tuple[Flow, ...
         raise ConfigError("config needs either a scenario number, scenario file or explicit flows")
     if isinstance(config.scenario, str):
         return _load_scenario_file(config.scenario, network)
-    k = int(config.scenario)
-    return _scenario_flows(config, network, k, "scenario"), k
+    return _scenario_flows(config, network, config.scenario, "scenario"), config.scenario
 
 
 def _load_scenario_file(path: str, network: Network) -> tuple[tuple[Flow, ...], int | None]:
-    try:
+    with _config_errors(f"scenario file {path}: "):
         data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file is not valid JSON: {exc}") from None
     if isinstance(data, list):
-        return _flows_from_dicts(data, network, f"{path}: flows"), None
-    if isinstance(data, dict) and "flows" in data:
-        scenario_id = data.get("scenario_id")
-        return _flows_from_dicts(data["flows"], network, f"{path}: flows"), scenario_id
-    raise ConfigError(
-        f"scenario file {path} must be a flow list or an object with a 'flows' key"
-    )
+        data = {"flows": data}
+    data = _checked(data, {"scenario_id": int | None, "flows": list[dict]}, path)
+    if "flows" not in data:
+        raise ConfigError(f"scenario file {path} must be a flow list or an object with 'flows'")
+    return _flows_from_dicts(data["flows"], network, f"{path}: flows"), data.get("scenario_id")
 
 
-def _clock(config: RunConfig) -> SimClock:
-    try:
-        return SimClock(
-            dt=config.dt, horizon=config.horizon,
-            warmup=config.warmup, cooldown=config.cooldown,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _vehicle_params(config: RunConfig) -> VehicleParams:
-    try:
-        return VehicleParams(**config.vehicle)
-    except TypeError as exc:
-        raise ConfigError(f"invalid vehicle params: {exc}") from None
+def _resolve_demand_program(
+    config: RunConfig, network: Network, program_spec
+) -> list[DemandPhase]:
+    if program_spec is None:
+        flows, _ = _resolve_flows(config, network)
+        return [DemandPhase(0.0, flows)]
+    phases = []
+    for i, entry in enumerate(_typed(program_spec, list[dict], "twin.demand_program")):
+        where = f"twin.demand_program[{i}]"
+        entry = _checked(entry, {"start": float, "flows": list[dict], "scenario": int}, where)
+        if "flows" in entry:
+            flows = _flows_from_dicts(entry["flows"], network, f"{where}.flows")
+        elif "scenario" in entry:
+            flows = _scenario_flows(config, network, entry["scenario"], f"{where}.scenario")
+        else:
+            raise ConfigError(f"{where} needs 'flows' or 'scenario'")
+        phases.append(DemandPhase(entry.get("start", 0.0), flows))
+    with _config_errors("twin."):
+        check_demand_program(phases)
+    return phases
 
 
 # -- artifact writers --------------------------------------------------------
@@ -224,9 +307,7 @@ def _write_json(data: dict, path: Path) -> None:
 
 
 @contextmanager
-def _run_directory(
-    out_dir: Path, config: RunConfig, network: Network
-) -> Iterator[Callable[[str], None] | None]:
+def _run_directory(out_dir: Path, config: RunConfig) -> Iterator[Callable[[str], None] | None]:
     """Create a run directory and yield its trajectory sink (None when the
     log is off); the caller then writes the rest with ``_write_run_artifacts``."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,30 +336,19 @@ def _write_run_artifacts(
     _write_json(summary_dict(result, network), out_dir / "summary.json")
 
 
-def run_one_simulation(
-    config: RunConfig,
-    network: Network,
-    flows: tuple[Flow, ...],
-    scenario_id: int | None,
-    algorithm: str,
-    out_dir: Path,
-) -> SimulationResult:
+def run_one_simulation(run: _Resolved, algorithm: str, out_dir: Path) -> SimulationResult:
     """Execute one run and populate its artifact directory."""
-    with _run_directory(out_dir, config, network) as sink:
+    config = run.config
+    with _run_directory(out_dir, config) as sink:
         sim = Simulation(
-            network,
-            flows=flows,
-            algorithm=algorithm,
-            seed=config.seed,
-            clock=_clock(config),
-            vehicle=_vehicle_params(config),
-            departure_mode=config.departure_mode,
-            carryover_turns=config.carryover_turns,
-            scenario_id=scenario_id,
+            run.network, flows=run.flows, algorithm=algorithm, seed=config.seed,
+            clock=run.clock, vehicle=run.vehicle, departure_mode=config.departure_mode,
+            carryover_turns=config.carryover_turns, scenario_id=run.scenario_id,
             trajectory_sink=sink,
         )
         result = sim.run()
-    _write_run_artifacts(out_dir, replace(config, algorithms=(algorithm,)), network, sim, result)
+    config = replace(config, algorithms=(algorithm,))
+    _write_run_artifacts(out_dir, config, run.network, sim, result)
     return result
 
 
@@ -286,37 +356,23 @@ def run_one_simulation(
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    if len(config.algorithms) != 1:
-        raise ConfigError("simulate takes exactly one algorithm")
-    algorithm = _validated(config.algorithms[0])
-    network = _build_network(config)
-    flows, scenario_id = _resolve_flows(config, network)
+    run = _resolve(config, "simulate")
+    algorithm = config.algorithms[0]
     out_dir = Path(config.out)
-    result = run_one_simulation(config, network, flows, scenario_id, algorithm, out_dir)
+    result = run_one_simulation(run, algorithm, out_dir)
     mean, grade = metrics.control_delay_summary(result.control_delay_values())
     print(
-        f"simulate: algorithm={algorithm} scenario={scenario_id} seed={config.seed} "
+        f"simulate: algorithm={algorithm} scenario={run.scenario_id} seed={config.seed} "
         f"mean_control_delay={mean:.2f}s los={grade.grade} -> {out_dir}"
     )
     return 0
 
 
 def cmd_compare(config: RunConfig) -> int:
-    tokens = [_validated(t) for t in config.algorithms]
-    if len(tokens) < 2:
-        raise ConfigError("compare needs at least two algorithms (including baseline)")
-    if "baseline" not in tokens:
-        raise ConfigError("compare requires the baseline algorithm")
-    network = _build_network(config)
-    flows, scenario_id = _resolve_flows(config, network)
+    run = _resolve(config, "compare")
     out_dir = Path(config.out)
-    results: dict[str, SimulationResult] = {}
-    for token in tokens:
-        results[token] = run_one_simulation(
-            config, network, flows, scenario_id, token, out_dir / token
-        )
+    results = {t: run_one_simulation(run, t, out_dir / t) for t in config.algorithms}
     report = metrics.compare(results)
-    out_dir.mkdir(parents=True, exist_ok=True)
     metrics.write_comparison_csv(report, out_dir / "comparison.csv")
     metrics.write_comparison_json(report, out_dir / "comparison.json")
     metrics.write_dsd_csvs(report, out_dir)
@@ -331,36 +387,20 @@ def cmd_compare(config: RunConfig) -> int:
 
 
 def cmd_twin(config: RunConfig) -> int:
-    network = _build_network(config)
-    twin_cfg = dict(config.twin)
-    program_spec = twin_cfg.pop("demand_program", None)
-    unknown = set(twin_cfg) - {f.name for f in fields(TwinSettings)}
-    if unknown:
-        raise ConfigError(f"unknown twin config keys: {sorted(unknown)}")
-    if "factors" in twin_cfg:
-        twin_cfg["factors"] = tuple(twin_cfg["factors"])
-    twin_cfg.setdefault("parallelism", config.parallelism)
-    twin_cfg.setdefault("departure_mode", config.departure_mode)
-    try:
-        settings = TwinSettings(**twin_cfg)
-        _validated(settings.initial_algorithm)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    program = _resolve_demand_program(config, network, program_spec)
+    run = _resolve(config, "twin")
     out_dir = Path(config.out)
-    with _run_directory(out_dir, config, network) as sink:
+    with _run_directory(out_dir, config) as sink:
         manifest, result, sim = live_loop(
-            network,
-            program,
-            settings,
+            run.network,
+            run.program,
+            run.settings,
             seed=config.seed,
-            clock=_clock(config),
-            vehicle=_vehicle_params(config),
+            clock=run.clock,
+            vehicle=run.vehicle,
             carryover_turns=config.carryover_turns,
             trajectory_sink=sink,
         )
-    _write_run_artifacts(out_dir, config, network, sim, result)
+    _write_run_artifacts(out_dir, config, run.network, sim, result)
     _write_json(manifest, out_dir / "twin_manifest.json")
     degraded = sum(1 for p in manifest["periods"] if p["degraded"])
     if degraded:
@@ -370,36 +410,6 @@ def cmd_twin(config: RunConfig) -> int:
         f"final={manifest['live_summary']['final_algorithm']} -> {out_dir}"
     )
     return 0
-
-
-def _resolve_demand_program(
-    config: RunConfig, network: Network, program_spec
-) -> list[DemandPhase]:
-    if program_spec is None:
-        flows, _ = _resolve_flows(config, network)
-        return [DemandPhase(0.0, flows)]
-    if not isinstance(program_spec, list):
-        raise ConfigError("twin.demand_program must be a list of phases")
-    phases = []
-    for i, entry in enumerate(program_spec):
-        where = f"twin.demand_program[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where} must be an object with 'start' and 'flows' or 'scenario'")
-        start = entry.get("start", 0.0)
-        if not (_is_number(start) and math.isfinite(start)):
-            raise ConfigError(f"{where}.start must be a finite number, got {start!r}")
-        if "flows" in entry:
-            flows = _flows_from_dicts(entry["flows"], network, f"{where}.flows")
-        elif "scenario" in entry:
-            flows = _scenario_flows(config, network, int(entry["scenario"]), f"{where}.scenario")
-        else:
-            raise ConfigError(f"{where} needs 'flows' or 'scenario'")
-        phases.append(DemandPhase(float(start), flows))
-    try:
-        check_demand_program(phases)
-    except ValueError as exc:
-        raise ConfigError(f"twin.{exc}") from None
-    return phases
 
 
 def cmd_report(config: RunConfig) -> int:
@@ -413,10 +423,8 @@ def cmd_report(config: RunConfig) -> int:
             f"{run_dir} is not a run directory with trajectory.csv, summary.json, "
             "config.json and network.json"
         )
-    try:
+    with _config_errors(f"{network_path}: "):
         network = load_network(network_path)
-    except ValueError as exc:
-        raise ConfigError(f"{network_path}: {exc}") from None
     window = _run_json(summary_path).get("window")
     if not (isinstance(window, list) and len(window) == 2 and all(map(_is_number, window))):
         raise ConfigError(f"{summary_path}: field 'window' must be [start, end], got {window!r}")
@@ -450,10 +458,8 @@ def cmd_report(config: RunConfig) -> int:
 
 
 def _run_json(path: Path) -> dict:
-    try:
+    with _config_errors(f"{path} is not valid JSON: "):
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     return data
@@ -514,13 +520,6 @@ def read_trajectory(path: str | Path) -> list[tuple[float, str, str, float, floa
     ]
 
 
-def _validated(token: str) -> str:
-    try:
-        return validate_algorithm(token)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 # -- argument parsing ----------------------------------------------------------
 
 
@@ -542,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, help="output directory")
         p.add_argument(
             "--algorithm",
-            type=str,
+            dest="algorithms",
+            type=lambda tokens: [t.strip() for t in tokens.split(",") if t.strip()],
             help=f"algorithm token(s), comma separated; valid: {', '.join(ALGORITHMS)}",
         )
         p.add_argument("--scenario", type=int, help="demand scenario 1..11")
@@ -551,25 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
-    if args.config is not None:
-        try:
-            data = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.out is not None:
-        data["out"] = args.out
-    if args.algorithm is not None:
-        data["algorithms"] = [t.strip() for t in args.algorithm.split(",") if t.strip()]
-    if args.scenario is not None:
-        data["scenario"] = args.scenario
-    if args.parallelism is not None:
-        data["parallelism"] = args.parallelism
-    return RunConfig.from_dict(data)
+    flags = {
+        k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None
+    }
+    if args.config is None:
+        return RunConfig.from_dict(flags)
+    with _config_errors(f"config file {args.config}: "):
+        return RunConfig.from_dict({**json.loads(Path(args.config).read_text()), **flags})
 
 
 COMMANDS = {

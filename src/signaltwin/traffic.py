@@ -70,6 +70,9 @@ STOP_LINE_MARGIN = 1.0
 # intersection except the subject runs.
 FIXED_SPLIT = 30.0
 
+# How departures are spread over time: exponential headways or even spacing.
+DEPARTURE_MODES = ("poisson", "uniform")
+
 # Signal aspects are consulted within this distance of the stop line (or
 # within braking range, whichever is longer); also the yield zone where a
 # flashing signal caps speed at half free flow.
@@ -144,13 +147,12 @@ class VehicleParams:
     max_accel: float = 2.6
     max_decel: float = 4.5
     min_gap: float = 2.5
-    depart_speed: float = 0.0
 
     def __post_init__(self) -> None:
         if min(self.length, self.max_accel, self.max_decel) <= 0.0:
             raise ValueError("length, max_accel and max_decel must be positive")
-        if self.min_gap < 0.0 or self.depart_speed < 0.0:
-            raise ValueError("min_gap and depart_speed must be >= 0")
+        if self.min_gap < 0.0:
+            raise ValueError("min_gap must be >= 0")
 
 
 class Departure(NamedTuple):
@@ -191,6 +193,8 @@ def generate_departures(
     derived from (seed, flow), so identical inputs give identical
     schedules.
     """
+    if mode not in DEPARTURE_MODES:
+        raise ValueError(f"departure mode must be one of {DEPARTURE_MODES}, got {mode!r}")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if flow.vph == 0.0:
@@ -200,7 +204,7 @@ def generate_departures(
         count = math.floor(flow.vph * horizon / 3600.0)
         spacing = 3600.0 / flow.vph
         times = [i * spacing for i in range(count)]
-    elif mode == "poisson":
+    else:
         rng = np.random.default_rng(
             stream_seed(seed, f"flow:{flow.origin}->{flow.destination}")
         )
@@ -210,8 +214,6 @@ def generate_departures(
         while t < horizon:
             times.append(t)
             t += rng.exponential(scale)
-    else:
-        raise ValueError(f"unknown departure mode {mode!r}")
     return [Departure(t, flow.origin, flow.destination) for t in times]
 
 

@@ -20,6 +20,7 @@ from .controllers import ALGORITHMS
 from .metrics import los_from_control_delay
 from .network import Network
 from .traffic import (
+    DEPARTURE_MODES,
     DepartureRow,
     Flow,
     SimClock,
@@ -118,6 +119,10 @@ class TwinSettings:
             raise ValueError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         if self.estimate_window <= 0.0:
             raise ValueError(f"estimate_window must be positive, got {self.estimate_window}")
+        if self.departure_mode not in DEPARTURE_MODES:
+            raise ValueError(
+                f"departure_mode must be one of {DEPARTURE_MODES}, got {self.departure_mode!r}"
+            )
         if self.job_warmup + self.job_cooldown > self.job_horizon:
             raise ValueError(
                 f"job_warmup ({self.job_warmup}) + job_cooldown ({self.job_cooldown}) "

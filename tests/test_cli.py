@@ -1,10 +1,11 @@
 """Command-line workflows and artifact determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from signaltwin.cli import main, read_trajectory
+from signaltwin.cli import RunConfig, _resolve, main, read_trajectory
 from signaltwin.network import load_network
 
 
@@ -80,6 +81,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 def test_missing_config_file(tmp_path):
     assert run_cli("simulate", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "x")) == 2
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for flags in ((), ("--seed", "3")):
+        assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x"), *flags) == 2
+        assert "config" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_compare_artifacts_and_departure_identity(tmp_path):
@@ -249,6 +259,17 @@ def program(*phases):
         pytest.param("twin", program({"start": 0.0, "flows": [FLOW]},
                                      {"start": 300.0, "flows": [OTHER_FLOW]}),
                      "twin.demand_program[1].flows", id="program-od-lists-differ"),
+        pytest.param("simulate", {"scenario": 3.7}, "scenario", id="scenario-not-integer"),
+        pytest.param("twin", program({"start": 0.0, "scenario": "two"}),
+                     "twin.demand_program[0].scenario", id="program-scenario-not-integer"),
+        pytest.param("simulate", {"base_vph": 0, "scenario": 2}, "base_vph",
+                     id="scenario-base-vph-zero"),
+        pytest.param("simulate", {"ladder_factor": -0.5, "scenario": 2}, "ladder_factor",
+                     id="scenario-ladder-factor-negative"),
+        pytest.param("twin", {"base_vph": 0, **program({"start": 0.0, "scenario": 2})},
+                     "base_vph", id="program-base-vph-zero"),
+        pytest.param("simulate", {"flows": [{**FLOW, "vhp": 60.0}]}, "flows[0].vhp",
+                     id="flows-unknown-key"),
     ],
 )
 def test_invalid_demand_exit_2(tmp_path, capsys, command, extra, field):
@@ -295,6 +316,71 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
     assert run_cli("twin", "--config", str(cfg), "--scenario", "1",
                    "--out", str(tmp_path / "x")) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra, field",
+    [
+        pytest.param("simulate", {"network": {"rowz": 5}}, "network.rowz",
+                     id="network-unknown-key"),
+        pytest.param("simulate", {"network": {"rows": 2.5, "cols": 3}}, "network.rows",
+                     id="network-rows-not-integer"),
+        pytest.param("simulate", {"network": {"file": "network.json", "rows": 3}}, "network.rows",
+                     id="network-file-and-grid-keys"),
+        pytest.param("simulate", {"network": {"file": "no/such/network.json"}}, "network.file",
+                     id="network-file-missing"),
+        pytest.param("simulate", {"dt": 0.3}, "dt", id="simulate-dt-not-dividing"),
+        pytest.param("compare", {"dt": 0.3, "algorithms": ["baseline", "dt1"]}, "dt",
+                     id="compare-dt-not-dividing"),
+        pytest.param("simulate", {"vehicle": {"length": 0}}, "length", id="vehicle-length-zero"),
+        pytest.param("simulate", {"vehicle": {"depart_speed": 7}}, "vehicle.depart_speed",
+                     id="vehicle-depart-speed-removed"),
+        pytest.param("simulate", {"algorithm": "dt1"}, "algorithm", id="algorithm-alias-removed"),
+        pytest.param("simulate", {"seed": "x"}, "seed", id="seed-string"),
+        pytest.param("simulate", {"seed": True}, "seed", id="seed-bool"),
+        pytest.param("simulate", {"horizon": "900"}, "horizon", id="horizon-string"),
+        pytest.param("simulate", {"horizon": 10**400}, "horizon", id="horizon-beyond-float"),
+        pytest.param("simulate", {"carryover_turns": "no"}, "carryover_turns",
+                     id="carryover-turns-string"),
+        pytest.param("simulate", {"log_trajectory": "false"}, "log_trajectory",
+                     id="log-trajectory-string"),
+        pytest.param("simulate", {"departure_mode": "poison"}, "departure_mode",
+                     id="departure-mode-unknown"),
+        pytest.param("twin", {"twin": {"departure_mode": "poison"}}, "twin.departure_mode",
+                     id="twin-departure-mode-unknown"),
+    ],
+)
+def test_invalid_run_settings_exit_2(tmp_path, capsys, command, extra, field):
+    # Every setting is checked before the run directory is created.
+    cfg = small_config(tmp_path, **extra)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_int_for_float_setting_runs_the_same(tmp_path):
+    # A JSON int given for a float setting is taken as that float.
+    outs = []
+    for spelled in (float, int):
+        cfg = small_config(tmp_path, horizon=spelled(600), warmup=spelled(100),
+                           cooldown=spelled(100), vehicle={"length": spelled(5)})
+        outs.append(tmp_path / spelled.__name__)
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "3", "--out", str(outs[-1])) == 0
+    for name in ("trajectory.csv", "signals.csv", "summary.json", "departures.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_readme_config_example_resolves():
+    # The config example documented under "Command line" stays a valid config.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line"):]
+    block = section[section.index("```json") + len("```json"):]
+    config = RunConfig.from_dict(json.loads(block[:block.index("```")]))
+    run = _resolve(config, "twin")
+    assert [phase.start for phase in run.program] == [0.0, 1800.0]
+    assert run.settings.factors == (0.8, 1.0, 1.2)
+    assert len(run.network.nodes) == 9
 
 
 def test_regenerate_from_stored_config(tmp_path):

@@ -73,6 +73,9 @@ def test_generate_departures_validation():
         generate_departures(Flow("a", "b", 10.0), 0.0, seed=1)
     with pytest.raises(ValueError):
         generate_departures(Flow("a", "b", 10.0), 100.0, seed=1, mode="weird")
+    # The mode is checked even when the flow has no demand to spread.
+    with pytest.raises(ValueError, match="departure mode"):
+        generate_departures(Flow("a", "b", 0.0), 100.0, seed=1, mode="weird")
     with pytest.raises(ValueError):
         Flow("a", "b", -1.0)
     for vph in (float("nan"), float("inf")):

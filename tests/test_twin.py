@@ -352,6 +352,8 @@ def test_twin_settings_validation():
     for parallelism in (0, -1, 1.5):
         with pytest.raises(ValueError, match="parallelism"):
             TwinSettings(parallelism=parallelism)
+    with pytest.raises(ValueError, match="departure_mode"):
+        TwinSettings(departure_mode="poison")
     # Warm-up plus cool-down may fill the whole job horizon.
     TwinSettings(job_warmup=600.0, job_cooldown=300.0, job_horizon=900.0)
     with pytest.raises(ValueError):
