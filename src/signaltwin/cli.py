@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import metrics
 from .controllers import ALGORITHMS, validate_algorithm
-from .network import Network, build_grid, load_network, save_network
+from .network import Network, build_grid, load_network, network_from_dict, save_network
 from .traffic import (
     DEPARTURE_MODES,
     Flow,
@@ -188,13 +188,38 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
     return _Resolved(config, network, clock, vehicle, program=program, settings=settings)
 
 
+# One segment row of a network file, as ``network_to_dict`` writes it.
+_SEGMENT_ROW = {
+    "id": str, "from": str, "to": str, "length": float, "lane_count": int,
+    "movement": str, "pocket_length": float, "free_flow_speed": float,
+}
+
+
 def _resolve_network(spec: dict) -> Network:
     if "file" in spec:
         path = _checked(spec, {"file": str}, "network")["file"]
         with _config_errors("network.file: "):
-            return load_network(path)
+            data = json.loads(Path(path).read_text())
+            return network_from_dict({**data, "segments": _checked_segments(data["segments"])})
     with _config_errors("network: "):
         return build_grid(**_checked({**_default_network(), **spec}, build_grid, "network"))
+
+
+def _checked_segments(rows) -> list[dict]:
+    """The segment rows of a network file, each checked like a config
+    section; every key is required and a segment id may appear only once."""
+    where = "network.file: segments"
+    checked: list[dict] = []
+    ids: set[str] = set()
+    for i, row in enumerate(_typed(rows, list[dict], where)):
+        row = _checked(row, _SEGMENT_ROW, f"{where}[{i}]")
+        if missing := sorted(_SEGMENT_ROW.keys() - row.keys()):
+            raise ConfigError(f"{where}[{i}] lacks {', '.join(missing)}")
+        if row["id"] in ids:
+            raise ConfigError(f"{where}[{i}].id: duplicate segment id {row['id']!r}")
+        ids.add(row["id"])
+        checked.append(row)
+    return checked
 
 
 def _flows_from_dicts(rows: Sequence[dict], network: Network, where: str) -> tuple[Flow, ...]:

@@ -290,11 +290,12 @@ class _SegmentState:
     """Runtime occupancy of one segment: through lanes plus a pocket."""
 
     __slots__ = (
-        "seg_id", "length", "vff", "half_vff", "lane_count", "pocket_start",
+        "index", "seg_id", "length", "vff", "half_vff", "lane_count", "pocket_start",
         "to_node", "at_subject", "lanes", "pocket", "sweep",
     )
 
-    def __init__(self, seg, subject: str) -> None:
+    def __init__(self, index: int, seg, subject: str) -> None:
+        self.index = index  # position in Simulation._state_list
         self.seg_id = seg.id
         self.length = seg.length
         self.vff = seg.free_flow_speed
@@ -399,27 +400,26 @@ class Simulation:
 
         subject = network.subject_intersection
         self._states: dict[str, _SegmentState] = {
-            seg_id: _SegmentState(network.segments[seg_id], subject)
-            for seg_id in sorted(network.segments)
+            seg_id: _SegmentState(i, network.segments[seg_id], subject)
+            for i, seg_id in enumerate(sorted(network.segments))
         }
         self._state_list = list(self._states.values())
+        # Indices into _state_list of the segments that hold a vehicle.
+        self._occupied: set[int] = set()
 
         # Signals: the subject intersection runs the adaptive nine-phase
-        # plan; every other intersection runs a fixed-time two-phase plan
-        # with permissive lefts.  One row per node, in sorted node order:
-        # (node, timer, decision source, phase -> aspect row table).
-        fixed_steps = round(2 * FIXED_SPLIT / self.dt)
-        half_fixed = round(FIXED_SPLIT / self.dt)
-        self._signal_rows: list[tuple] = []
-        for node in sorted(network.nodes):
-            timer = ControllerTimer(self.dt)
-            if node == subject:
-                self._subject_timer = timer
-                row = (node, timer, self._subject_decision, ASPECTS_PROTECTED)
-            else:
-                source = self._make_fixed_source(fixed_steps, half_fixed)
-                row = (node, timer, source, ASPECTS_PERMISSIVE)
-            self._signal_rows.append(row)
+        # plan; every other intersection runs the same fixed-time two-phase
+        # plan with permissive lefts from the same start, so one timer
+        # drives them all.  Nodes are logged in sorted order.
+        nodes = sorted(network.nodes)
+        at = nodes.index(subject)
+        self._fixed_before, self._fixed_after = nodes[:at], nodes[at + 1:]
+        self._fixed_nodes = self._fixed_before + self._fixed_after
+        self._subject_timer = ControllerTimer(self.dt)
+        self._fixed_timer = ControllerTimer(self.dt)
+        self._fixed_source = self._make_fixed_source(
+            round(2 * FIXED_SPLIT / self.dt), round(FIXED_SPLIT / self.dt)
+        )
         self._subject_node = subject
         self._subject_states = [
             self._states[s] for s in network.incoming(subject)
@@ -605,6 +605,7 @@ class Simulation:
                     depart_speed=min(pend.depart_speed, st.vff),
                 )
                 best_lane.append(veh)
+                self._occupied.add(st.index)
                 self.inserted += 1
                 self._pending_count -= 1
                 self._depart_delay_sum += t - pend.depart_time
@@ -617,18 +618,35 @@ class Simulation:
     def _tick_signals(self, k: int, t: float) -> None:
         displays = self._displays
         log = self.signal_log
-        for node, timer, source, table in self._signal_rows:
-            phase = timer.tick(k, source)
-            log.append((t, node, phase, timer.stage, timer.green_elapsed))
-            if timer.status == STATUS_OUT_OF_ORDER:
-                displays[node] = ASPECTS_FLASHING
-            else:
-                displays[node] = table[phase]
+        subject = self._subject_node
+        timer = self._subject_timer
+        phase = timer.tick(k, self._subject_decision)
+        subject_row = (t, subject, phase, timer.stage, timer.green_elapsed)
+        if timer.status == STATUS_OUT_OF_ORDER:
+            displays[subject] = ASPECTS_FLASHING
+        else:
+            displays[subject] = ASPECTS_PROTECTED[phase]
+        timer = self._fixed_timer
+        phase = timer.tick(k, self._fixed_source)
+        stage, green = timer.stage, timer.green_elapsed
+        log += [(t, node, phase, stage, green) for node in self._fixed_before]
+        log.append(subject_row)
+        log += [(t, node, phase, stage, green) for node in self._fixed_after]
+        aspects = ASPECTS_PERMISSIVE[phase]
+        for node in self._fixed_nodes:
+            displays[node] = aspects
 
     # -- vehicle dynamics --------------------------------------------------------
 
     def _advance_vehicles(self, t: float) -> list[str]:
         """One Gauss-Seidel sweep: each follower reads its leader's new state.
+
+        Only segments occupied when the sweep starts are visited, in
+        ``_state_list`` order.  A segment that gains its first vehicle
+        during the sweep holds only vehicles that have already moved, so
+        visiting it would change nothing.  A vehicle leaves a segment only
+        by crossing out of it in the segment's own sweep, so the segment
+        can have emptied only if one did.
 
         Every vehicle is built from ``self.params``, so the per-vehicle
         products are computed once here; each equals the per-vehicle one
@@ -645,16 +663,18 @@ class Simulation:
         two_decel = 2.0 * params.max_decel
         all_displays = self._displays
         cross = self._cross
-        for st in self._state_list:
+        states = self._state_list
+        occupied = self._occupied
+        for index in sorted(occupied):
+            st = states[index]
             sweep = st.sweep
-            if not any(sweep):
-                continue
             vff = st.vff
             half_vff = st.half_vff
             seg_len = st.length
             pocket = st.pocket
             pocket_start = st.pocket_start
             displays = all_displays.get(st.to_node)
+            left = False  # a vehicle crossed out of this segment
             for lane in sweep:
                 n = len(lane)
                 if not n:
@@ -731,6 +751,7 @@ class Simulation:
                         if cross(veh, st, new_pos - seg_len, v, t_out, arrived):
                             lane.pop(i)
                             n -= 1
+                            left = True
                             continue
                         # Receiving segment blocked: hold at the line.
                         new_pos = min(new_pos, seg_len - 0.01)
@@ -758,6 +779,8 @@ class Simulation:
 
                     prev_rear = new_pos - veh_len
                     i += 1
+            if left and not any(sweep):
+                occupied.discard(index)
         return arrived
 
     def _cross(
@@ -817,6 +840,7 @@ class Simulation:
         else:
             ledger.waiting = 0.0
         best_lane.append(veh)
+        self._occupied.add(next_st.index)
         return True
 
     # -- logging and results -----------------------------------------------------

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .controllers import ALGORITHMS
 from .metrics import los_from_control_delay
@@ -30,6 +31,9 @@ from .traffic import (
     departure_rows,
     label_seed,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 # The nine descriptive dimensions recorded in every run manifest:
 # physical entities, digital shadow, data, models, simulation, traffic
@@ -189,30 +193,44 @@ def _execute_job(
         )
 
 
+@contextmanager
+def worker_pool(parallelism: int, n_jobs: int) -> Iterator[Executor | None]:
+    """A process pool of ``min(parallelism, n_jobs)`` workers, shut down
+    on exit; None when the jobs run serially in this process."""
+    if parallelism <= 1 or n_jobs <= 1:
+        yield None
+        return
+    # Imported here so that commands that never fan out do not load
+    # multiprocessing at start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(parallelism, n_jobs)) as pool:
+        yield pool
+
+
 def run_parallel(
     network: Network,
     jobs: Sequence[SimulationJob],
     parallelism: int = 1,
     vehicle: VehicleParams | None = None,
     carryover_turns: bool = True,
+    pool: Executor | None = None,
 ) -> list[SimulationResult]:
     """Run independent jobs and return results sorted by job id.
 
     Output is invariant to the degree of parallelism: each job is a pure
     function of its own seed and inputs, and a failure is captured in
-    that job's result slot without affecting the others.  At most one
-    worker per job is started.
+    that job's result slot without affecting the others.  The jobs go to
+    ``pool`` if one is given; otherwise to a ``worker_pool`` opened for
+    this call alone, which starts at most one worker per job.
     """
     ordered = sorted(jobs, key=lambda j: j.job_id)
-    if parallelism <= 1 or len(ordered) <= 1:
-        return [_execute_job(network, job, vehicle, carryover_turns) for job in ordered]
-    # Imported here so that commands that never fan out do not load
-    # multiprocessing at start-up.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(parallelism, len(ordered))) as pool:
+    opened = nullcontext(pool) if pool is not None else worker_pool(parallelism, len(ordered))
+    with opened as executor:
+        if executor is None:
+            return [_execute_job(network, job, vehicle, carryover_turns) for job in ordered]
         futures = [
-            pool.submit(_execute_job, network, job, vehicle, carryover_turns)
+            executor.submit(_execute_job, network, job, vehicle, carryover_turns)
             for job in ordered
         ]
         return [f.result() for f in futures]
@@ -335,68 +353,74 @@ def live_loop(
     current_token = settings.initial_algorithm
     period_records: list[dict] = []
 
-    for p, t_eval in enumerate(eval_times):
-        sim.run_until(t_eval)
-        estimate = estimate_demand(sim.flow_insertions, t_eval, settings.estimate_window)
-        candidates = forecast_demands(estimate, settings.factors)
-        jobs = []
-        for c, cand in enumerate(candidates):
-            flows = tuple(
-                Flow(o, d, v, s) for (o, d), v, s in zip(ods, cand, depart_speeds)
-            )
-            for algo in ALGORITHMS:
-                jobs.append(
-                    SimulationJob(
-                        job_id=f"p{p:03d}-c{c}-{algo}",
-                        flows=flows,
-                        algorithm=algo,
-                        seed=label_seed(seed, f"twin:p{p}:c{c}:{algo}"),
-                        horizon=settings.job_horizon,
-                        warmup=settings.job_warmup,
-                        cooldown=settings.job_cooldown,
-                        dt=clock.dt,
-                        candidate_index=c,
-                    )
+    # One pool serves every period.  It starts at the first period, after
+    # the live simulation's first step, and is shut down when the loop
+    # ends or raises.
+    with ExitStack() as stack:
+        for p, t_eval in enumerate(eval_times):
+            sim.run_until(t_eval)
+            estimate = estimate_demand(sim.flow_insertions, t_eval, settings.estimate_window)
+            candidates = forecast_demands(estimate, settings.factors)
+            jobs = []
+            for c, cand in enumerate(candidates):
+                flows = tuple(
+                    Flow(o, d, v, s) for (o, d), v, s in zip(ods, cand, depart_speeds)
                 )
-        results = run_parallel(
-            network, jobs, settings.parallelism, vehicle, carryover_turns
-        )
-        paired = list(zip(sorted(jobs, key=lambda j: j.job_id), results))
-        degraded = any(res.error for _, res in paired)
-        matched = match_demand(estimate.vph, candidates)
-        record = {
-            "period": p,
-            "time": t_eval,
-            "measured_vph": list(estimate.vph),
-            "candidates": [list(c) for c in candidates],
-            "matched_index": matched,
-            "degraded": degraded,
-            "jobs": [
-                {
-                    "job_id": job.job_id,
-                    "candidate": job.candidate_index,
-                    "algorithm": job.algorithm,
-                    "seed": job.seed,
-                    "score": res.mean_control_delay,
-                    "error": res.error,
-                }
-                for job, res in paired
-            ],
-            "selection": None,
-        }
-        if not degraded:
-            matched_results = [
-                (job, res) for job, res in paired if job.candidate_index == matched
-            ]
-            selection = select_controller(matched_results, matched)
-            record["selection"] = {
-                "algorithm": selection.chosen_algorithm,
-                "scored": [list(row) for row in selection.scored],
+                for algo in ALGORITHMS:
+                    jobs.append(
+                        SimulationJob(
+                            job_id=f"p{p:03d}-c{c}-{algo}",
+                            flows=flows,
+                            algorithm=algo,
+                            seed=label_seed(seed, f"twin:p{p}:c{c}:{algo}"),
+                            horizon=settings.job_horizon,
+                            warmup=settings.job_warmup,
+                            cooldown=settings.job_cooldown,
+                            dt=clock.dt,
+                            candidate_index=c,
+                        )
+                    )
+            if p == 0:
+                pool = stack.enter_context(worker_pool(settings.parallelism, len(jobs)))
+            results = run_parallel(
+                network, jobs, settings.parallelism, vehicle, carryover_turns, pool
+            )
+            paired = list(zip(sorted(jobs, key=lambda j: j.job_id), results))
+            degraded = any(res.error for _, res in paired)
+            matched = match_demand(estimate.vph, candidates)
+            record = {
+                "period": p,
+                "time": t_eval,
+                "measured_vph": list(estimate.vph),
+                "candidates": [list(c) for c in candidates],
+                "matched_index": matched,
+                "degraded": degraded,
+                "jobs": [
+                    {
+                        "job_id": job.job_id,
+                        "candidate": job.candidate_index,
+                        "algorithm": job.algorithm,
+                        "seed": job.seed,
+                        "score": res.mean_control_delay,
+                        "error": res.error,
+                    }
+                    for job, res in paired
+                ],
+                "selection": None,
             }
-            if selection.chosen_algorithm != current_token:
-                sim.set_algorithm(selection.chosen_algorithm, tag=f"period-{p}")
-                current_token = selection.chosen_algorithm
-        period_records.append(record)
+            if not degraded:
+                matched_results = [
+                    (job, res) for job, res in paired if job.candidate_index == matched
+                ]
+                selection = select_controller(matched_results, matched)
+                record["selection"] = {
+                    "algorithm": selection.chosen_algorithm,
+                    "scored": [list(row) for row in selection.scored],
+                }
+                if selection.chosen_algorithm != current_token:
+                    sim.set_algorithm(selection.chosen_algorithm, tag=f"period-{p}")
+                    current_token = selection.chosen_algorithm
+            period_records.append(record)
 
     sim.run_until(clock.horizon)
     result = sim.result()

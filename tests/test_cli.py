@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from signaltwin.cli import RunConfig, _resolve, main, read_trajectory
-from signaltwin.network import load_network
+from signaltwin.network import build_grid, load_network, save_network
 
 
 def run_cli(*args):
@@ -357,6 +357,55 @@ def test_invalid_run_settings_exit_2(tmp_path, capsys, command, extra, field):
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def _network_file(tmp_path, mutate=None):
+    # The network that small_config builds, saved as a file and edited.
+    path = tmp_path / "network.json"
+    save_network(build_grid(3, 3, 400.0, 1, 60.0, 13.89), path)
+    if mutate is not None:
+        data = json.loads(path.read_text())
+        mutate(data["segments"])
+        path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        pytest.param(lambda segs: segs[4].update(lane_count=2.7), "segments[4].lane_count",
+                     id="lane-count-float"),
+        pytest.param(lambda segs: segs[4].update(lane_count=True), "segments[4].lane_count",
+                     id="lane-count-bool"),
+        pytest.param(lambda segs: segs[4].update(length="650"), "segments[4].length",
+                     id="length-string"),
+        pytest.param(lambda segs: segs[4].update(free_flow_speed=float("nan")),
+                     "segments[4].free_flow_speed", id="free-flow-speed-nan"),
+        pytest.param(lambda segs: segs[4].update(lanes=2), "segments[4].lanes",
+                     id="segment-unknown-key"),
+        pytest.param(lambda segs: segs[4].update(id=segs[3]["id"]), "segments[4].id",
+                     id="segment-id-duplicated"),
+    ],
+)
+def test_invalid_network_file_exit_2(tmp_path, capsys, mutate, field):
+    # A network file passes the same checks as every other input.
+    path = _network_file(tmp_path, mutate)
+    cfg = small_config(tmp_path, network={"file": str(path)}, scenario=2)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert f"network.file: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_network_file_runs_as_the_grid_it_holds(tmp_path):
+    grid = json.loads(small_config(tmp_path).read_text())["network"]
+    outs = []
+    for network in (grid, {"file": str(_network_file(tmp_path))}):
+        cfg = small_config(tmp_path, network=network)
+        outs.append(tmp_path / f"run{len(outs)}")
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "5", "--out", str(outs[-1])) == 0
+    for name in ("network.json", "trajectory.csv", "signals.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_json_int_for_float_setting_runs_the_same(tmp_path):

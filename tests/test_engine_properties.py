@@ -3,14 +3,24 @@
 The vehicle sweep is hand-inlined for speed, so these properties guard it
 beyond the fixed examples in test_traffic.py: conservation, the minimum
 gap to the leader, position and speed bounds, and monotone stopped-delay
-ledgers.
+ledgers.  They also guard the shortcuts of the step: the set of occupied
+segments that the sweep visits, and the one timer that drives every
+fixed-time intersection.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from signaltwin.controllers import ALGORITHMS
 from signaltwin.network import build_grid
-from signaltwin.traffic import Flow, SimClock, Simulation, VehicleParams, scenario_catalog
+from signaltwin.signals import ControllerTimer
+from signaltwin.traffic import (
+    FIXED_SPLIT,
+    Flow,
+    SimClock,
+    Simulation,
+    VehicleParams,
+    scenario_catalog,
+)
 
 HORIZON = 600.0
 
@@ -41,9 +51,22 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
         vehicle=params,
     )
     last_accumulated: dict[str, float] = {}
-    for _ in range(sim.clock.n_steps):
+    # A standalone timer running the fixed two-phase plan.
+    fixed = ControllerTimer(dt)
+    cycle, split = round(2 * FIXED_SPLIT / dt), round(FIXED_SPLIT / dt)
+    nodes = sorted(net.nodes)
+    for k in range(sim.clock.n_steps):
         sim.step()
         assert sim.inserted - sim.exited == sim.vehicles_on_network()
+        occupied = {state.index for state in sim._state_list if state.vehicle_count()}
+        assert sim._occupied == occupied
+        phase = fixed.tick(k, lambda: 0 if k % cycle < split else 2)
+        expected = (k * dt, phase, fixed.stage, fixed.green_elapsed)
+        rows = sim.signal_log[-len(nodes):]
+        assert [row[1] for row in rows] == nodes
+        for t, node, *state in rows:
+            if node != net.subject_intersection:
+                assert (t, *state) == expected, (node, t)
         for state in sim._state_list:
             for lane in state.sweep:
                 leader = None

@@ -54,7 +54,19 @@ CASES = {
         for algo in ("baseline", "dt1", "dt2")
         for k in (3, 9)
     },
+    # At dt 0.5 every stage and the fixed-time cycle last twice as many steps.
+    "simulate-dt1-s9-dt0.5": (
+        {**BASE_CONFIG, "scenario": 9, "algorithms": ["dt1"], "dt": 0.5},
+        ("simulate", "report"),
+        RUN_ARTIFACTS,
+    ),
     "twin-s2": (TWIN_CONFIG, ("twin", "report"), RUN_ARTIFACTS + ("twin_manifest.json",)),
+    # Two periods whose jobs run in one pool of two worker processes.
+    "twin-s2-p2": (
+        {**TWIN_CONFIG, "horizon": 900.0, "parallelism": 2},
+        ("twin", "report"),
+        RUN_ARTIFACTS + ("twin_manifest.json",),
+    ),
 }
 
 

@@ -136,21 +136,30 @@ def test_run_parallel_parallelism_invariant(grid3):
     assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
 
-def test_run_parallel_starts_at_most_one_worker_per_job(grid3, monkeypatch):
-    # An inline stand-in records max_workers; no real pool is started.
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replace ProcessPoolExecutor by an inline stand-in that runs each job
+    when it is submitted; returns the stand-ins in order of construction.
+    No real pool is started."""
     import concurrent.futures
 
-    requested = []
+    made = []
 
     class InlineExecutor:
         def __init__(self, max_workers):
-            requested.append(max_workers)
+            self.max_workers = max_workers
+            self.shutdowns = 0
+            made.append(self)
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            self.shutdown()
             return False
+
+        def shutdown(self, wait=True):
+            self.shutdowns += 1
 
         def submit(self, fn, *args):
             future = concurrent.futures.Future()
@@ -158,12 +167,53 @@ def test_run_parallel_starts_at_most_one_worker_per_job(grid3, monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return made
+
+
+def test_run_parallel_starts_at_most_one_worker_per_job(grid3, inline_pools):
     jobs = make_jobs(grid3, [60.0], horizon=120.0, warmup=0.0)
     serial = [r.to_dict() for r in run_parallel(grid3, jobs, parallelism=1)]
     for parallelism in (5000, 2):
         results = run_parallel(grid3, jobs, parallelism=parallelism)
         assert [r.to_dict() for r in results] == serial
-    assert requested == [3, 2]
+    assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [(3, 1), (2, 1)]
+
+
+def short_twin(grid, parallelism):
+    # Two periods of nine jobs each.
+    ods = grid.straight_od_pairs()[:4]
+    program = [DemandPhase(0.0, tuple(Flow(o, d, 80.0) for o, d in ods))]
+    settings = TwinSettings(period=300.0, job_horizon=300.0, job_warmup=100.0,
+                            parallelism=parallelism)
+    clock = SimClock(dt=1.0, horizon=900.0, warmup=100.0, cooldown=100.0)
+    return live_loop(grid, program, settings, seed=9, clock=clock)
+
+
+def test_live_loop_runs_every_period_in_one_pool(grid3, inline_pools):
+    serial, _, _ = short_twin(grid3, parallelism=1)
+    assert inline_pools == []
+    manifest, _, _ = short_twin(grid3, parallelism=2)
+    assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [(2, 1)]
+    assert len(manifest["periods"]) == 2
+    assert manifest["settings"]["parallelism"] == 2
+    assert {**manifest, "settings": {**manifest["settings"], "parallelism": 1}} == serial
+
+
+def test_live_loop_shuts_the_pool_down_when_a_period_raises(grid3, inline_pools, monkeypatch):
+    import signaltwin.twin as twin
+
+    calls = []
+
+    def match_demand_failing_in_period_1(measured, candidates):
+        calls.append(measured)
+        if len(calls) == 2:
+            raise RuntimeError("period 1 failed")
+        return match_demand(measured, candidates)
+
+    monkeypatch.setattr(twin, "match_demand", match_demand_failing_in_period_1)
+    with pytest.raises(RuntimeError, match="period 1 failed"):
+        short_twin(grid3, parallelism=2)
+    assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [(2, 1)]
 
 
 def test_run_parallel_matches_direct_serial_rerun(grid3):
