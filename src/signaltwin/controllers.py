@@ -19,14 +19,17 @@ callers that look the rule up by algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .network import METERS_PER_MILE, Movement
-from .signals import PHASE_MOVEMENTS
+from .signals import GREEN_PHASE_FOR_MOVEMENT, PHASE_MOVEMENTS
 
 # Registration order; also the tie-break order when scores are equal.
 ALGORITHMS = ("baseline", "dt1", "dt2")
+
+# Every movement, in decision-chain order.
+_CHAIN_ORDER = tuple(m for pair in PHASE_MOVEMENTS.values() for m in pair)
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,9 @@ class DecisionInput:
 class Decision:
     """Outcome of one phase-choice evaluation."""
 
-    proposed_phase: int | None
-    winning_movement: Movement | None
+    proposed_phase: int
+    winning_movement: Movement
     winning_value: float
-    out_of_order: bool = field(default=False)
 
 
 def approach_density(vehicle_count: int, lane_count: int, lane_length_miles: float) -> float:
@@ -77,13 +79,8 @@ def decide(decision_input: DecisionInput) -> Decision:
     Ties go to the first movement in ``PHASE_MOVEMENTS`` chain order.
     """
     values = decision_input.values
-    best = max(values[m] for m in Movement)
-    for phase, pair in PHASE_MOVEMENTS.items():
-        for movement in pair:
-            if values[movement] == best:
-                return Decision(phase, movement, best)
-    # Unreachable for valid finite inputs; kept as the out-of-order guard.
-    return Decision(None, None, best, out_of_order=True)
+    movement = max(_CHAIN_ORDER, key=values.__getitem__)
+    return Decision(GREEN_PHASE_FOR_MOVEMENT[movement], movement, values[movement])
 
 
 # The algorithms share one rule; their public names stay for callers.

@@ -164,7 +164,17 @@ class Network:
         subject_intersection: str,
     ) -> None:
         if subject_intersection not in nodes:
-            raise NetworkError(f"subject intersection {subject_intersection!r} not a node")
+            raise NetworkError(f"subject_intersection {subject_intersection!r} is not a node")
+        # The subject's decision input reads one incoming segment per
+        # through movement, and that segment's pocket for the paired left.
+        carried = sorted(
+            seg.movement.value for seg in segments.values() if seg.to_node == subject_intersection
+        )
+        if carried != sorted(m.value for m in THROUGH_MOVEMENTS):
+            raise NetworkError(
+                f"subject_intersection {subject_intersection!r}: incoming segments must carry "
+                f"each through movement exactly once, got {carried}"
+            )
         self.nodes = dict(nodes)
         self.boundary_nodes = dict(boundary_nodes)
         self.segments = dict(segments)

@@ -25,9 +25,6 @@ STAGE_GREEN = "green"
 STAGE_YELLOW = "yellow"
 STAGE_ALL_RED = "all_red"
 
-STATUS_OK = "ok"
-STATUS_OUT_OF_ORDER = "out_of_order"
-
 # Movement pairs served by each green phase, in decision-chain order.
 PHASE_MOVEMENTS: dict[int, tuple[Movement, Movement]] = {
     0: (Movement.NBT, Movement.SBT),
@@ -47,12 +44,10 @@ for _green, _pair in PHASE_MOVEMENTS.items():
     PHASE_TABLE[_green + 1] = {m: ("Y" if m in _pair else "R") for m in Movement}
 PHASE_TABLE[ALL_RED_PHASE] = {m: "R" for m in Movement}
 
-FLASHING_YELLOW = "FY"
-
 # Int-coded aspects for the simulation hot loop.  ``ASPECT_NAMES[code]``
 # is the letter that ``display`` shows for a code.
-A_GREEN, A_YELLOW, A_RED, A_FLASH = 0, 1, 2, 3
-ASPECT_NAMES = ("G", "Y", "R", FLASHING_YELLOW)
+A_GREEN, A_YELLOW, A_RED = 0, 1, 2
+ASPECT_NAMES = ("G", "Y", "R")
 _ASPECT_CODE = {"G": A_GREEN, "Y": A_YELLOW, "R": A_RED}
 
 # Movement -> position in ``ALL_MOVEMENTS``; the aspect rows below are
@@ -60,8 +55,7 @@ _ASPECT_CODE = {"G": A_GREEN, "Y": A_YELLOW, "R": A_RED}
 MOVEMENT_INDEX: dict[Movement, int] = {m: i for i, m in enumerate(ALL_MOVEMENTS)}
 
 # Phase -> aspect row, protected (exact table) and with permissive lefts
-# (a left movement follows its parallel through); a flashing signal shows
-# ``A_FLASH`` to every movement.
+# (a left movement follows its parallel through).
 ASPECTS_PROTECTED: tuple[tuple[int, ...], ...] = tuple(
     tuple(_ASPECT_CODE[PHASE_TABLE[phase][m]] for m in ALL_MOVEMENTS)
     for phase in range(len(PHASE_TABLE))
@@ -71,7 +65,6 @@ ASPECTS_PERMISSIVE: tuple[tuple[int, ...], ...] = tuple(
           for m in ALL_MOVEMENTS)
     for phase in range(len(PHASE_TABLE))
 )
-ASPECTS_FLASHING: tuple[int, ...] = (A_FLASH,) * len(ALL_MOVEMENTS)
 
 
 def phase_for_movement(phase: int, movement: Movement) -> str:
@@ -105,7 +98,6 @@ class ControllerTimer:
         self.current_phase = initial_phase
         self.stage = STAGE_GREEN
         self.pending_target: int | None = None
-        self.status = STATUS_OK
         self._stage_steps = 0
         self._green_steps = 0
 
@@ -129,12 +121,7 @@ class ControllerTimer:
         self._stage_steps = 0
         return self
 
-    def set_out_of_order(self) -> "ControllerTimer":
-        """Flag the signal as malfunctioning; all movements flash yellow."""
-        self.status = STATUS_OUT_OF_ORDER
-        return self
-
-    def tick(self, step_index: int, decision_source: Callable[[], int | None] | None = None) -> int:
+    def tick(self, step_index: int, decision_source: Callable[[], int] | None = None) -> int:
         """Advance one step and return the phase displayed for it.
 
         ``decision_source`` is consulted only in a green stage, on the
@@ -156,13 +143,12 @@ class ControllerTimer:
 
         if (
             decision_source is not None
-            and self.status == STATUS_OK
             and self.stage == STAGE_GREEN
             and step_index % self._decision_steps == 0
             and self._green_steps > self._min_green_steps
         ):
             proposed = decision_source()
-            if proposed is not None and proposed != self.current_phase:
+            if proposed != self.current_phase:
                 self.request_phase(proposed)
 
         phase = self.current_phase
@@ -172,14 +158,12 @@ class ControllerTimer:
         return phase
 
     def display(self, movement: Movement, permissive_lefts: bool = False) -> str:
-        """Aspect currently shown to a movement: G, Y, R or FY.
+        """Aspect currently shown to a movement: G, Y or R.
 
         With ``permissive_lefts`` a left movement follows its parallel
         through movement's aspect, which keeps left turns serviceable at
         intersections running a two-phase plan.
         """
-        if self.status == STATUS_OUT_OF_ORDER:
-            return FLASHING_YELLOW
         table = ASPECTS_PERMISSIVE if permissive_lefts else ASPECTS_PROTECTED
         return ASPECT_NAMES[table[self.current_phase][MOVEMENT_INDEX[movement]]]
 

@@ -35,6 +35,7 @@ from .delay import (
     average_approach_delay,
     on_approach_transition,
     segment_delay,
+    update_waiting,
 )
 from .network import (
     ALL_MOVEMENTS,
@@ -46,14 +47,11 @@ from .network import (
     turn_of,
 )
 from .signals import (
-    A_FLASH,
     A_GREEN,
     A_YELLOW,
-    ASPECTS_FLASHING,
     ASPECTS_PERMISSIVE,
     ASPECTS_PROTECTED,
     MOVEMENT_INDEX,
-    STATUS_OUT_OF_ORDER,
     ControllerTimer,
 )
 
@@ -74,8 +72,7 @@ FIXED_SPLIT = 30.0
 DEPARTURE_MODES = ("poisson", "uniform")
 
 # Signal aspects are consulted within this distance of the stop line (or
-# within braking range, whichever is longer); also the yield zone where a
-# flashing signal caps speed at half free flow.
+# within braking range, whichever is longer).
 SIGNAL_LOOKAHEAD = 50.0
 
 
@@ -126,6 +123,8 @@ class SimClock:
         per_second = 1.0 / self.dt
         if abs(per_second - round(per_second)) > 1e-9:
             raise ValueError(f"dt ({self.dt}) must divide one second cleanly")
+        if self.horizon <= 0.0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.warmup < 0.0 or self.cooldown < 0.0:
             raise ValueError("warmup and cooldown must be >= 0")
         if self.horizon < self.warmup + self.cooldown:
@@ -259,7 +258,7 @@ class Vehicle:
 
     __slots__ = (
         "vid", "route", "route_index", "position", "speed", "length",
-        "ledger", "entry_time", "turns", "stop_movements", "in_pocket", "moved_step",
+        "ledger", "entry_time", "turns", "stop_movements", "moved_step",
     )
 
     def __init__(
@@ -282,7 +281,6 @@ class Vehicle:
         self.entry_time = entry_time
         self.turns = turns
         self.stop_movements = stop_movements
-        self.in_pocket = False
         self.moved_step = -1
 
 
@@ -290,7 +288,7 @@ class _SegmentState:
     """Runtime occupancy of one segment: through lanes plus a pocket."""
 
     __slots__ = (
-        "index", "seg_id", "length", "vff", "half_vff", "lane_count", "pocket_start",
+        "index", "seg_id", "length", "vff", "lane_count", "pocket_start",
         "to_node", "at_subject", "lanes", "pocket", "sweep",
     )
 
@@ -299,7 +297,6 @@ class _SegmentState:
         self.seg_id = seg.id
         self.length = seg.length
         self.vff = seg.free_flow_speed
-        self.half_vff = 0.5 * seg.free_flow_speed
         self.lane_count = seg.lane_count
         self.pocket_start = seg.pocket_start
         self.to_node = seg.to_node
@@ -503,7 +500,7 @@ class Simulation:
         """Schedule a controller swap at the next green-stage decision point."""
         self._pending_algorithm = (validate_algorithm(token), tag)
 
-    def _subject_decision(self) -> int | None:
+    def _subject_decision(self) -> int:
         if self._pending_algorithm is not None:
             token, tag = self._pending_algorithm
             self._pending_algorithm = None
@@ -517,11 +514,7 @@ class Simulation:
                     }
                 )
                 self.algorithm = token
-        decision = DECIDE_BY_ALGORITHM[self.algorithm](self._decision_input())
-        if decision.out_of_order:  # pragma: no cover - guarded unreachable
-            self._subject_timer.set_out_of_order()
-            return None
-        return decision.proposed_phase
+        return DECIDE_BY_ALGORITHM[self.algorithm](self._decision_input()).proposed_phase
 
     def _decision_input(self) -> DecisionInput:
         values: dict[Movement, float] = {}
@@ -622,10 +615,7 @@ class Simulation:
         timer = self._subject_timer
         phase = timer.tick(k, self._subject_decision)
         subject_row = (t, subject, phase, timer.stage, timer.green_elapsed)
-        if timer.status == STATUS_OUT_OF_ORDER:
-            displays[subject] = ASPECTS_FLASHING
-        else:
-            displays[subject] = ASPECTS_PROTECTED[phase]
+        displays[subject] = ASPECTS_PROTECTED[phase]
         timer = self._fixed_timer
         phase = timer.tick(k, self._fixed_source)
         stage, green = timer.stage, timer.green_elapsed
@@ -669,7 +659,6 @@ class Simulation:
             st = states[index]
             sweep = st.sweep
             vff = st.vff
-            half_vff = st.half_vff
             seg_len = st.length
             pocket = st.pocket
             pocket_start = st.pocket_start
@@ -712,10 +701,6 @@ class Simulation:
                             aspect = displays[veh.stop_movements[veh.route_index]]
                             if aspect == A_GREEN:
                                 may_cross = True
-                            elif aspect == A_FLASH:
-                                may_cross = True
-                                if v > half_vff:
-                                    v = half_vff
                             else:
                                 stop = True
                                 if aspect == A_YELLOW:
@@ -762,6 +747,7 @@ class Simulation:
                     veh.position = new_pos
                     veh.speed = v
                     ledger = veh.ledger
+                    # delay.update_waiting, inlined; test_engine_properties checks they agree.
                     if v < STOP_SPEED_THRESHOLD:
                         ledger.waiting += dt
                         ledger.accumulated += dt
@@ -774,7 +760,6 @@ class Simulation:
                             lane.pop(i)
                             n -= 1
                             pocket.append(veh)
-                            veh.in_pocket = True
                             continue
 
                     prev_rear = new_pos - veh_len
@@ -833,12 +818,7 @@ class Simulation:
         veh.position = entry_front
         veh.speed = min(v, next_st.vff)
         veh.entry_time = t_out
-        veh.in_pocket = False
-        if veh.speed < STOP_SPEED_THRESHOLD:
-            ledger.waiting += self.dt
-            ledger.accumulated += self.dt
-        else:
-            ledger.waiting = 0.0
+        update_waiting(ledger, veh.speed, self.dt)
         best_lane.append(veh)
         self._occupied.add(next_st.index)
         return True

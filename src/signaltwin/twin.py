@@ -127,6 +127,11 @@ class TwinSettings:
             raise ValueError(
                 f"departure_mode must be one of {DEPARTURE_MODES}, got {self.departure_mode!r}"
             )
+        if self.job_horizon <= 0.0:
+            raise ValueError(f"job_horizon must be positive, got {self.job_horizon}")
+        for name in ("job_warmup", "job_cooldown"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.job_warmup + self.job_cooldown > self.job_horizon:
             raise ValueError(
                 f"job_warmup ({self.job_warmup}) + job_cooldown ({self.job_cooldown}) "

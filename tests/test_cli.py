@@ -308,14 +308,19 @@ def test_invalid_flow_exit_2(tmp_path, capsys, flow, field):
         ({"job_warmup": 1000.0, "job_horizon": 900.0}, "job_warmup"),
         ({"job_warmup": 400.0, "job_cooldown": 100.0, "job_horizon": 450.0}, "job_cooldown"),
         ({"parallelism": 0}, "parallelism"),
+        pytest.param({"job_horizon": 0.0, "job_warmup": 0.0}, "job_horizon",
+                     id="job-horizon-zero"),
+        pytest.param({"job_warmup": -10.0}, "job_warmup", id="job-warmup-negative"),
+        pytest.param({"job_cooldown": -10.0}, "job_cooldown", id="job-cooldown-negative"),
     ],
 )
 def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
     cfg = small_config(tmp_path, horizon=600.0, warmup=100.0, cooldown=100.0,
                        twin={"factors": [1.0], "period": 300.0, **twin_cfg})
-    assert run_cli("twin", "--config", str(cfg), "--scenario", "1",
-                   "--out", str(tmp_path / "x")) == 2
+    out = tmp_path / "x"
+    assert run_cli("twin", "--config", str(cfg), "--scenario", "1", "--out", str(out)) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -340,6 +345,8 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
         pytest.param("simulate", {"seed": True}, "seed", id="seed-bool"),
         pytest.param("simulate", {"horizon": "900"}, "horizon", id="horizon-string"),
         pytest.param("simulate", {"horizon": 10**400}, "horizon", id="horizon-beyond-float"),
+        pytest.param("simulate", {"horizon": 0, "warmup": 0, "cooldown": 0}, "horizon",
+                     id="horizon-zero"),
         pytest.param("simulate", {"carryover_turns": "no"}, "carryover_turns",
                      id="carryover-turns-string"),
         pytest.param("simulate", {"log_trajectory": "false"}, "log_trajectory",
@@ -385,6 +392,8 @@ def _network_file(tmp_path, mutate=None):
                      id="segment-unknown-key"),
         pytest.param(lambda segs: segs[4].update(id=segs[3]["id"]), "segments[4].id",
                      id="segment-id-duplicated"),
+        pytest.param(lambda segs: segs.remove(next(s for s in segs if s["id"] == "n0-1:n1-1")),
+                     "subject_intersection", id="subject-approach-missing"),
     ],
 )
 def test_invalid_network_file_exit_2(tmp_path, capsys, mutate, field):

@@ -3,14 +3,16 @@
 The vehicle sweep is hand-inlined for speed, so these properties guard it
 beyond the fixed examples in test_traffic.py: conservation, the minimum
 gap to the leader, position and speed bounds, and monotone stopped-delay
-ledgers.  They also guard the shortcuts of the step: the set of occupied
-segments that the sweep visits, and the one timer that drives every
-fixed-time intersection.
+ledgers that advance each step exactly as ``delay.update_waiting`` does
+(the sweep keeps an inline copy of that rule).  They also guard the
+shortcuts of the step: the set of occupied segments that the sweep
+visits, and the one timer that drives every fixed-time intersection.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from signaltwin.controllers import ALGORITHMS
+from signaltwin.delay import DelayLedger, update_waiting
 from signaltwin.network import build_grid
 from signaltwin.signals import ControllerTimer
 from signaltwin.traffic import (
@@ -50,7 +52,8 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
         clock=SimClock(dt=dt, horizon=HORIZON, warmup=0.0, cooldown=0.0),
         vehicle=params,
     )
-    last_accumulated: dict[str, float] = {}
+    # Vehicle id -> (waiting, accumulated) after the previous step.
+    last_ledgers: dict[str, tuple[float, float]] = {}
     # A standalone timer running the fixed two-phase plan.
     fixed = ControllerTimer(dt)
     cycle, split = round(2 * FIXED_SPLIT / dt), round(FIXED_SPLIT / dt)
@@ -76,7 +79,13 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
                     if leader is not None:
                         gap = (leader.position - leader.length) - veh.position
                         assert gap >= params.min_gap - 1e-9, (veh.vid, gap)
-                    acc = veh.ledger.accumulated
-                    assert acc >= last_accumulated.get(veh.vid, 0.0), veh.vid
-                    last_accumulated[veh.vid] = acc
+                    # A vehicle inserted in this step starts from a fresh ledger.
+                    waiting, acc = last_ledgers.get(veh.vid, (0.0, 0.0))
+                    ledger = veh.ledger
+                    assert ledger.accumulated >= acc, veh.vid
+                    expected = update_waiting(DelayLedger(waiting, acc), veh.speed, dt)
+                    assert (ledger.waiting, ledger.accumulated) == (
+                        expected.waiting, expected.accumulated
+                    ), veh.vid
+                    last_ledgers[veh.vid] = (ledger.waiting, ledger.accumulated)
                     leader = veh

@@ -145,11 +145,13 @@ def test_no_path_error():
     net = build_grid(1, 2, 400.0, 1, 40.0, 13.89)
     data = network_to_dict(net)
     # Remove every segment leaving the western node except its exit stubs,
-    # so no entry on the west can reach the eastern exits.
+    # so no entry on the west can reach the eastern exits.  The eastern
+    # node then lacks an approach, so the western node is made the subject.
     data["segments"] = [
         s for s in data["segments"]
         if not (s["from"] == "n0-0" and s["to"] == "n0-1")
     ]
+    data["subject_intersection"] = "n0-0"
     broken = network_from_dict(data)
     with pytest.raises(NoPathError):
         shortest_path(broken, "bw-0:n0-0", "n0-1:be-0")

@@ -1,7 +1,5 @@
 """Phase table fidelity and transition interlocks."""
 
-import random
-
 import pytest
 
 from signaltwin.network import Movement
@@ -172,25 +170,6 @@ def test_fractional_dt_keeps_exact_boundaries():
     assert displayed[20:24] == [1, 1, 1, 1]
     assert displayed[24:26] == [8, 8]
     assert displayed[26] == 4
-
-
-def test_out_of_order_flashing_and_idempotent():
-    timer = ControllerTimer(dt=1.0)
-    timer.set_out_of_order()
-    assert timer.status == "out_of_order"
-    for movement in Movement:
-        assert timer.display(movement) == "FY"
-    timer.set_out_of_order()
-    assert timer.status == "out_of_order"
-
-
-def test_out_of_order_unreachable_under_valid_inputs():
-    # Fuzz: any finite proposal keeps the timer healthy across a long run.
-    rng = random.Random(5)
-    timer = ControllerTimer(dt=1.0)
-    for k in range(3600):
-        timer.tick(k, lambda: rng.choice(GREEN_PHASES))
-    assert timer.status == "ok"
 
 
 def test_permissive_display_follows_parallel_through():
