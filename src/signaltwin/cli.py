@@ -14,17 +14,15 @@ import inspect
 import itertools
 import json
 import sys
-import typing
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cache
 from pathlib import Path
-from types import UnionType
 from typing import Callable, Iterator, Sequence
 
 from . import metrics
+from .checks import ConfigError, _checked, _is_number, _typed
 from .controllers import ALGORITHMS, validate_algorithm
-from .network import Network, build_grid, load_network, network_from_dict, save_network
+from .network import Network, build_grid, load_network, save_network
 from .traffic import (
     DEPARTURE_MODES,
     Flow,
@@ -41,10 +39,6 @@ SUMMARY_SCHEMA_VERSION = 1
 TRAJECTORY_HEADER = "t,vehicle_id,segment_id,position,speed,waiting,accumulated_waiting\n"
 SIGNALS_HEADER = "t,intersection_id,phase,stage,green_elapsed\n"
 DEPARTURES_HEADER = "vehicle_id,depart_time,origin,destination,route\n"
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; maps to exit code 2."""
 
 
 def _default_network() -> dict:
@@ -101,48 +95,6 @@ def _config_errors(prefix: str) -> Iterator[None]:
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-@cache
-def _hints(spec: Callable) -> dict:
-    return {k: v for k, v in typing.get_type_hints(spec).items() if k != "return"}
-
-
-def _checked(values: dict, spec: Callable | dict, where: str = "") -> dict:
-    """``values`` with every key checked against the parameters of ``spec``
-    (a dataclass, a function, or a dict of type hints) and every value
-    made its declared type by ``_typed``."""
-    if not isinstance(values, dict):
-        raise ConfigError(f"{where or 'config'} must be an object, got {values!r}")
-    hints = spec if isinstance(spec, dict) else _hints(spec)
-    checked = {}
-    for key, value in values.items():
-        path = f"{where}.{key}" if where else key
-        if key not in hints:
-            raise ConfigError(f"unknown key {path!r}; valid keys: {', '.join(hints)}")
-        checked[key] = _typed(value, hints[key], path)
-    return checked
-
-
-def _typed(value, hint, path: str):
-    """``value`` as type ``hint``: a float takes a finite JSON int or float,
-    an int or bool only itself (a bool is never a number), a tuple a JSON
-    list, and a union its first member that fits."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is UnionType or origin is typing.Union:
-        for member in args:
-            with suppress(ConfigError):
-                return _typed(value, member, path)
-    elif origin in (tuple, list):
-        if isinstance(value, (list, tuple)):
-            return origin(_typed(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
-    elif hint is float:
-        if _is_number(value) and abs(value) <= sys.float_info.max:  # finite, also as a float
-            return float(value)
-    elif isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
-        return value
-    name = str(hint) if origin else hint.__name__
-    raise ConfigError(f"{path} must be {name}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class _Resolved:
     """What a command runs, built from its config before anything is written."""
@@ -188,38 +140,13 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
     return _Resolved(config, network, clock, vehicle, program=program, settings=settings)
 
 
-# One segment row of a network file, as ``network_to_dict`` writes it.
-_SEGMENT_ROW = {
-    "id": str, "from": str, "to": str, "length": float, "lane_count": int,
-    "movement": str, "pocket_length": float, "free_flow_speed": float,
-}
-
-
 def _resolve_network(spec: dict) -> Network:
     if "file" in spec:
         path = _checked(spec, {"file": str}, "network")["file"]
         with _config_errors("network.file: "):
-            data = json.loads(Path(path).read_text())
-            return network_from_dict({**data, "segments": _checked_segments(data["segments"])})
+            return load_network(path)
     with _config_errors("network: "):
         return build_grid(**_checked({**_default_network(), **spec}, build_grid, "network"))
-
-
-def _checked_segments(rows) -> list[dict]:
-    """The segment rows of a network file, each checked like a config
-    section; every key is required and a segment id may appear only once."""
-    where = "network.file: segments"
-    checked: list[dict] = []
-    ids: set[str] = set()
-    for i, row in enumerate(_typed(rows, list[dict], where)):
-        row = _checked(row, _SEGMENT_ROW, f"{where}[{i}]")
-        if missing := sorted(_SEGMENT_ROW.keys() - row.keys()):
-            raise ConfigError(f"{where}[{i}] lacks {', '.join(missing)}")
-        if row["id"] in ids:
-            raise ConfigError(f"{where}[{i}].id: duplicate segment id {row['id']!r}")
-        ids.add(row["id"])
-        checked.append(row)
-    return checked
 
 
 def _flows_from_dicts(rows: Sequence[dict], network: Network, where: str) -> tuple[Flow, ...]:
@@ -488,10 +415,6 @@ def _run_json(path: Path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     return data
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _trajectory_rows(path: Path) -> Iterator[list[str]]:

@@ -21,6 +21,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
+from .checks import ConfigError, _checked, _hints, _typed
+
 METERS_PER_MILE = 1609.344
 
 SCHEMA_VERSION = 1
@@ -168,12 +170,13 @@ class Network:
         # The subject's decision input reads one incoming segment per
         # through movement, and that segment's pocket for the paired left.
         carried = sorted(
-            seg.movement.value for seg in segments.values() if seg.to_node == subject_intersection
+            seg.movement.value if seg.has_pocket else f"{seg.movement.value} without pocket"
+            for seg in segments.values() if seg.to_node == subject_intersection
         )
         if carried != sorted(m.value for m in THROUGH_MOVEMENTS):
             raise NetworkError(
                 f"subject_intersection {subject_intersection!r}: incoming segments must carry "
-                f"each through movement exactly once, got {carried}"
+                f"each through movement exactly once, each with a left-turn pocket, got {carried}"
             )
         self.nodes = dict(nodes)
         self.boundary_nodes = dict(boundary_nodes)
@@ -434,6 +437,14 @@ def downstream_approach(network: Network, approach: str) -> str | None:
 
 # -- serialization --------------------------------------------------------
 
+# The top-level keys of a network file and their types.
+_FILE = {"schema_version": int, "subject_intersection": str, "nodes": dict,
+         "boundary_nodes": dict, "segments": list[dict], "adjacency": dict}
+# A segment row holds ApproachSegment's fields, with from_node and to_node
+# spelled from and to: row key -> field name, and row key -> type.
+_SEGMENT_FIELDS = {name.removesuffix("_node"): name for name in _hints(ApproachSegment)}
+_SEGMENT_ROW = {key: _hints(ApproachSegment)[name] for key, name in _SEGMENT_FIELDS.items()}
+
 
 def network_to_dict(network: Network) -> dict:
     adjacency = {}
@@ -453,16 +464,8 @@ def network_to_dict(network: Network) -> dict:
         "nodes": {n: list(p) for n, p in sorted(network.nodes.items())},
         "boundary_nodes": {n: list(p) for n, p in sorted(network.boundary_nodes.items())},
         "segments": [
-            {
-                "id": s.id,
-                "from": s.from_node,
-                "to": s.to_node,
-                "length": s.length,
-                "lane_count": s.lane_count,
-                "movement": s.movement.value,
-                "pocket_length": s.pocket_length,
-                "free_flow_speed": s.free_flow_speed,
-            }
+            {**{key: getattr(s, name) for key, name in _SEGMENT_FIELDS.items()},
+             "movement": s.movement.value}
             for _, s in sorted(network.segments.items())
         ],
         "adjacency": adjacency,
@@ -470,27 +473,44 @@ def network_to_dict(network: Network) -> dict:
 
 
 def network_from_dict(data: dict) -> Network:
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise NetworkError(
-            f"unsupported network schema version {version!r} (expected {SCHEMA_VERSION})"
+    """The network of a document that ``network_to_dict`` wrote.  Every key
+    is checked and required (``adjacency`` is derived, so it is not read),
+    every value must be of its type and a segment id may appear only once;
+    a problem raises NetworkError naming the field."""
+    try:
+        data = _checked(data, _FILE)
+        if missing := sorted(_FILE.keys() - data.keys() - {"adjacency"}):
+            raise NetworkError(f"lacks {', '.join(missing)}")
+        if data["schema_version"] != SCHEMA_VERSION:
+            raise NetworkError(
+                f"unsupported network schema version {data['schema_version']!r} "
+                f"(expected {SCHEMA_VERSION})"
+            )
+        nodes, boundary = (
+            {n: _point(p, f"{key}.{n}") for n, p in data[key].items()}
+            for key in ("nodes", "boundary_nodes")
         )
-    nodes = {n: (float(p[0]), float(p[1])) for n, p in data["nodes"].items()}
-    boundary = {n: (float(p[0]), float(p[1])) for n, p in data["boundary_nodes"].items()}
-    segments = {}
-    for row in data["segments"]:
-        seg = ApproachSegment(
-            id=row["id"],
-            from_node=row["from"],
-            to_node=row["to"],
-            length=float(row["length"]),
-            lane_count=int(row["lane_count"]),
-            movement=Movement(row["movement"]),
-            pocket_length=float(row["pocket_length"]),
-            free_flow_speed=float(row["free_flow_speed"]),
-        )
-        segments[seg.id] = seg
+        segments: dict[str, ApproachSegment] = {}
+        for i, row in enumerate(data["segments"]):
+            row = _checked(row, _SEGMENT_ROW, f"segments[{i}]")
+            if missing := sorted(_SEGMENT_ROW.keys() - row.keys()):
+                raise NetworkError(f"segments[{i}] lacks {', '.join(missing)}")
+            if row["id"] in segments:
+                raise NetworkError(f"segments[{i}].id: duplicate segment id {row['id']!r}")
+            segments[row["id"]] = ApproachSegment(
+                **{name: row[key] for key, name in _SEGMENT_FIELDS.items()}
+            )
+    except ConfigError as exc:
+        raise NetworkError(str(exc)) from None
     return Network(nodes, boundary, segments, data["subject_intersection"])
+
+
+def _point(value, path: str) -> tuple[float, float]:
+    """A node position: exactly two finite numbers."""
+    point = _typed(value, tuple[float, ...], path)
+    if len(point) != 2:
+        raise NetworkError(f"{path} must be [x, y], got {value!r}")
+    return point
 
 
 def save_network(network: Network, path: str | Path) -> None:

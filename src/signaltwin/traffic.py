@@ -525,13 +525,9 @@ class Simulation:
                 values[seg.movement] = approach_density(
                     n_through, st.lane_count, meters_to_miles(st.length)
                 )
-                left = seg.left_movement
-                if st.pocket is not None:
-                    values[left] = approach_density(
-                        len(st.pocket), 1, meters_to_miles(st.length - st.pocket_start)
-                    )
-                else:
-                    values[left] = 0.0
+                values[seg.left_movement] = approach_density(
+                    len(st.pocket), 1, meters_to_miles(st.length - st.pocket_start)
+                )
         else:
             for st in self._subject_states:
                 seg = self.network.segments[st.seg_id]
@@ -539,7 +535,7 @@ class Simulation:
                 values[seg.movement] = average_approach_delay(
                     st.seg_id, through, self.algorithm
                 ).average
-                pocket = (veh.ledger for veh in st.pocket or ())
+                pocket = (veh.ledger for veh in st.pocket)
                 values[seg.left_movement] = average_approach_delay(
                     st.seg_id, pocket, self.algorithm
                 ).average

@@ -352,6 +352,8 @@ def live_loop(
         carryover_turns=carryover_turns,
         trajectory_sink=trajectory_sink,
     )
+    # One insertion list per OD pair of the program, also for a pair that never departs.
+    sim.flow_insertions += [[] for _ in range(len(ods) - len(sim.flow_insertions))]
 
     n_periods = max(0, math.floor(clock.horizon / settings.period) - 1)
     eval_times = [settings.period * (i + 1) for i in range(n_periods)]

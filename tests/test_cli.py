@@ -334,6 +334,8 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
                      id="network-file-and-grid-keys"),
         pytest.param("simulate", {"network": {"file": "no/such/network.json"}}, "network.file",
                      id="network-file-missing"),
+        pytest.param("simulate", {"network": {"rows": 3, "cols": 3, "pocket_length": 0}},
+                     "network: subject_intersection", id="network-without-pockets"),
         pytest.param("simulate", {"dt": 0.3}, "dt", id="simulate-dt-not-dividing"),
         pytest.param("compare", {"dt": 0.3, "algorithms": ["baseline", "dt1"]}, "dt",
                      id="compare-dt-not-dividing"),
@@ -372,28 +374,44 @@ def _network_file(tmp_path, mutate=None):
     save_network(build_grid(3, 3, 400.0, 1, 60.0, 13.89), path)
     if mutate is not None:
         data = json.loads(path.read_text())
-        mutate(data["segments"])
+        mutate(data)
         path.write_text(json.dumps(data))
     return path
+
+
+def _segment(data, segment_id):
+    return next(s for s in data["segments"] if s["id"] == segment_id)
 
 
 @pytest.mark.parametrize(
     "mutate, field",
     [
-        pytest.param(lambda segs: segs[4].update(lane_count=2.7), "segments[4].lane_count",
+        pytest.param(lambda d: d["segments"][4].update(lane_count=2.7), "segments[4].lane_count",
                      id="lane-count-float"),
-        pytest.param(lambda segs: segs[4].update(lane_count=True), "segments[4].lane_count",
+        pytest.param(lambda d: d["segments"][4].update(lane_count=True), "segments[4].lane_count",
                      id="lane-count-bool"),
-        pytest.param(lambda segs: segs[4].update(length="650"), "segments[4].length",
+        pytest.param(lambda d: d["segments"][4].update(length="650"), "segments[4].length",
                      id="length-string"),
-        pytest.param(lambda segs: segs[4].update(free_flow_speed=float("nan")),
+        pytest.param(lambda d: d["segments"][4].update(free_flow_speed=float("nan")),
                      "segments[4].free_flow_speed", id="free-flow-speed-nan"),
-        pytest.param(lambda segs: segs[4].update(lanes=2), "segments[4].lanes",
+        pytest.param(lambda d: d["segments"][4].update(lanes=2), "segments[4].lanes",
                      id="segment-unknown-key"),
-        pytest.param(lambda segs: segs[4].update(id=segs[3]["id"]), "segments[4].id",
-                     id="segment-id-duplicated"),
-        pytest.param(lambda segs: segs.remove(next(s for s in segs if s["id"] == "n0-1:n1-1")),
+        pytest.param(lambda d: d["segments"][4].update(id=d["segments"][3]["id"]),
+                     "segments[4].id", id="segment-id-duplicated"),
+        pytest.param(lambda d: d["segments"].remove(_segment(d, "n0-1:n1-1")),
                      "subject_intersection", id="subject-approach-missing"),
+        pytest.param(lambda d: _segment(d, "n0-1:n1-1").update(pocket_length=0.0),
+                     "subject_intersection", id="subject-approach-without-pocket"),
+        pytest.param(lambda d: d["segments"][4].update(movement="XBT"), "segments[4].movement",
+                     id="movement-unknown"),
+        pytest.param(lambda d: d.update(nodes=[]), "nodes", id="nodes-not-object"),
+        pytest.param(lambda d: d["nodes"].update({"n0-0": [0]}), "nodes.n0-0",
+                     id="node-one-number"),
+        pytest.param(lambda d: d["nodes"].update({"n0-0": [0, 0, 7]}), "nodes.n0-0",
+                     id="node-three-numbers"),
+        pytest.param(lambda d: d.update(extra=1), "extra", id="top-level-unknown-key"),
+        pytest.param(lambda d: d.update(subject_intersection=5), "subject_intersection",
+                     id="subject-not-string"),
     ],
 )
 def test_invalid_network_file_exit_2(tmp_path, capsys, mutate, field):
@@ -439,6 +457,17 @@ def test_readme_config_example_resolves():
     assert [phase.start for phase in run.program] == [0.0, 1800.0]
     assert run.settings.factors == (0.8, 1.0, 1.2)
     assert len(run.network.nodes) == 9
+
+
+def test_readme_library_example_runs():
+    # The code documented under "Library use" runs as written.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    block = section[section.index("```python") + len("```python"):]
+    namespace = {}
+    exec(block[:block.index("```")], namespace)
+    assert namespace["result"].algorithm == "dt1"
+    assert namespace["grade"].grade in "ABCDEF"
 
 
 def test_regenerate_from_stored_config(tmp_path):

@@ -229,6 +229,45 @@ def test_report_rejects_invalid_network_json(good_run, tmp_path, capsys):
     assert "network.json" in report_error(run, capsys)
 
 
+def _segment(data, segment_id):
+    return next(s for s in data["segments"] if s["id"] == segment_id)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        pytest.param(lambda d: d["segments"][4].update(lane_count=2.7), "segments[4].lane_count",
+                     id="lane-count-float"),
+        pytest.param(lambda d: d["segments"][4].update(length="400"), "segments[4].length",
+                     id="length-string"),
+        pytest.param(lambda d: d["segments"][4].update(free_flow_speed=float("nan")),
+                     "segments[4].free_flow_speed", id="free-flow-speed-nan"),
+        pytest.param(lambda d: d["segments"][4].update(lanes=2), "segments[4].lanes",
+                     id="segment-unknown-key"),
+        pytest.param(lambda d: d["segments"][4].update(movement="XBT"), "segments[4].movement",
+                     id="movement-unknown"),
+        pytest.param(lambda d: _segment(d, "n0-1:n1-1").update(pocket_length=0.0),
+                     "subject_intersection", id="subject-approach-without-pocket"),
+        pytest.param(lambda d: d.update(nodes=[]), "nodes", id="nodes-not-object"),
+        pytest.param(lambda d: d["nodes"].update({"n0-0": [0]}), "nodes.n0-0",
+                     id="node-one-number"),
+        pytest.param(lambda d: d["nodes"].update({"n0-0": [0, 0, 7]}), "nodes.n0-0",
+                     id="node-three-numbers"),
+        pytest.param(lambda d: d.update(extra=1), "extra", id="top-level-unknown-key"),
+        pytest.param(lambda d: d.update(subject_intersection=5), "subject_intersection",
+                     id="subject-not-string"),
+    ],
+)
+def test_report_rejects_invalid_network_field(good_run, tmp_path, capsys, edit, field):
+    # report reads network.json through the same checks as a network file.
+    run = broken_copy(good_run, tmp_path)
+    data = json.loads((run / "network.json").read_text())
+    edit(data)
+    (run / "network.json").write_text(json.dumps(data))
+    assert f"network.json: {field}" in report_error(run, capsys)
+    assert not (run / "report.json").exists()
+
+
 # -- report agrees with summary.json ------------------------------------------
 
 

@@ -372,6 +372,21 @@ def test_live_loop_single_candidate_matches_index_zero(grid3):
     assert all(len(p["jobs"]) == 3 for p in manifest["periods"])
 
 
+def test_live_loop_estimates_every_od_pair(grid3):
+    # A last flow that never departs keeps its entry in the estimate and
+    # in every candidate, so the jobs run every flow of the program.
+    ods = grid3.straight_od_pairs()[:4]
+    program = [DemandPhase(0.0, tuple(Flow(o, d, 80.0 * (i < 3)) for i, (o, d) in enumerate(ods)))]
+    settings = TwinSettings(factors=(0.8, 1.0), period=300.0, job_horizon=300.0,
+                            job_warmup=100.0)
+    clock = SimClock(dt=1.0, horizon=900.0, warmup=100.0, cooldown=100.0)
+    manifest, _, _ = live_loop(grid3, program, settings, seed=9, clock=clock)
+    assert len(manifest["periods"]) == 2
+    for period in manifest["periods"]:
+        assert len(period["measured_vph"]) == 4 and period["measured_vph"][3] == 0.0
+        assert [len(c) for c in period["candidates"]] == [4, 4]
+
+
 def test_live_loop_stable_selection_swaps_once(grid3):
     # Constant demand with a clearly winning controller: the manifest
     # records at most the initial swap and the controller stays put.
