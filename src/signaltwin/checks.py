@@ -25,7 +25,7 @@ def _checked(values: dict, spec: Callable | dict, where: str = "") -> dict:
     (a dataclass, a function, or a dict of type hints) and every value
     made its declared type by ``_typed``."""
     if not isinstance(values, dict):
-        raise ConfigError(f"{where or 'config'} must be an object, got {values!r}")
+        raise ConfigError(f"{where} must be an object, got {values!r}".lstrip())
     hints = spec if isinstance(spec, dict) else _hints(spec)
     checked = {}
     for key, value in values.items():

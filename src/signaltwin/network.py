@@ -92,6 +92,14 @@ class NoPathError(NetworkError):
     """No route exists between the requested segments."""
 
 
+class SegmentRangeError(NetworkError):
+    """A segment's ``field`` holds a value of its type that breaks ``rule``."""
+
+    def __init__(self, segment_id: str, field: str, rule: str) -> None:
+        super().__init__(f"segment {segment_id}: {field} {rule}")
+        self.field, self.rule = field, rule
+
+
 class UnknownIdError(KeyError):
     """A node or segment id is not part of the network."""
 
@@ -116,16 +124,15 @@ class ApproachSegment:
     free_flow_speed: float
 
     def __post_init__(self) -> None:
-        if self.length <= 0.0:
-            raise NetworkError(f"segment {self.id}: length must be positive")
-        if self.lane_count < 1:
-            raise NetworkError(f"segment {self.id}: lane_count must be >= 1")
-        if not 0.0 <= self.pocket_length < self.length:
-            raise NetworkError(
-                f"segment {self.id}: pocket_length must satisfy 0 <= pocket < length"
-            )
-        if self.free_flow_speed <= 0.0:
-            raise NetworkError(f"segment {self.id}: free_flow_speed must be positive")
+        for name, ok, rule in (
+            ("length", self.length > 0.0, "must be positive"),
+            ("lane_count", self.lane_count >= 1, "must be >= 1"),
+            ("pocket_length", 0.0 <= self.pocket_length < self.length,
+             "must satisfy 0 <= pocket < length"),
+            ("free_flow_speed", self.free_flow_speed > 0.0, "must be positive"),
+        ):
+            if not ok:
+                raise SegmentRangeError(self.id, name, f"{rule}, got {getattr(self, name)!r}")
 
     @property
     def has_pocket(self) -> bool:
@@ -167,6 +174,9 @@ class Network:
     ) -> None:
         if subject_intersection not in nodes:
             raise NetworkError(f"subject_intersection {subject_intersection!r} is not a node")
+        # A boundary stub is where traffic enters or leaves, never an intersection.
+        if both := sorted(nodes.keys() & boundary_nodes.keys()):
+            raise NetworkError(f"boundary_nodes.{both[0]}: {both[0]!r} is also in nodes")
         # The subject's decision input reads one incoming segment per
         # through movement, and that segment's pocket for the paired left.
         carried = sorted(
@@ -497,9 +507,12 @@ def network_from_dict(data: dict) -> Network:
                 raise NetworkError(f"segments[{i}] lacks {', '.join(missing)}")
             if row["id"] in segments:
                 raise NetworkError(f"segments[{i}].id: duplicate segment id {row['id']!r}")
-            segments[row["id"]] = ApproachSegment(
-                **{name: row[key] for key, name in _SEGMENT_FIELDS.items()}
-            )
+            try:
+                segments[row["id"]] = ApproachSegment(
+                    **{name: row[key] for key, name in _SEGMENT_FIELDS.items()}
+                )
+            except SegmentRangeError as exc:  # every range-checked field is its own row key
+                raise NetworkError(f"segments[{i}].{exc.field} {exc.rule}") from None
     except ConfigError as exc:
         raise NetworkError(str(exc)) from None
     return Network(nodes, boundary, segments, data["subject_intersection"])

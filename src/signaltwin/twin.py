@@ -335,6 +335,9 @@ def live_loop(
 
     Returns the manifest (dimensions, per-period evidence, swap events),
     the live run's aggregated result, and the live simulation itself.
+    ``trajectory_sink`` receives the live run's trajectory as
+    ``Simulation`` hands it over: one string per step, holding that step's
+    rows, each ending in ``\\n``.
     """
     clock = clock or SimClock()
     schedule = build_live_schedule(

@@ -374,8 +374,9 @@ def _network_file(tmp_path, mutate=None):
     save_network(build_grid(3, 3, 400.0, 1, 60.0, 13.89), path)
     if mutate is not None:
         data = json.loads(path.read_text())
-        mutate(data)
-        path.write_text(json.dumps(data))
+        # An edit in place returns None; any other result replaces the document.
+        replaced = mutate(data)
+        path.write_text(json.dumps(data if replaced is None else replaced))
     return path
 
 
@@ -412,6 +413,11 @@ def _segment(data, segment_id):
         pytest.param(lambda d: d.update(extra=1), "extra", id="top-level-unknown-key"),
         pytest.param(lambda d: d.update(subject_intersection=5), "subject_intersection",
                      id="subject-not-string"),
+        pytest.param(lambda d: d["boundary_nodes"].update({"n0-0": [0, 0]}),
+                     "boundary_nodes.n0-0", id="node-also-boundary"),
+        pytest.param(lambda d: [], "must be an object, got []", id="document-not-object"),
+        pytest.param(lambda d: d["segments"][4].update(length=-1.0),
+                     "segments[4].length must be positive", id="length-negative"),
     ],
 )
 def test_invalid_network_file_exit_2(tmp_path, capsys, mutate, field):

@@ -7,7 +7,11 @@ ledgers that advance each step exactly as ``delay.update_waiting`` does
 (the sweep keeps an inline copy of that rule).  They also guard the
 shortcuts of the step: the set of occupied segments that the sweep
 visits, and the one timer that drives every fixed-time intersection.
+No logged value is ever ``-0.0``, which the trajectory writer's repr memo
+could not tell from ``0.0``.
 """
+
+import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -45,13 +49,19 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
     for origin, destination in data.draw(
         st.lists(st.sampled_from(pairs), max_size=4, unique=True), label="turning"
     ):
-        flows.append(Flow(origin, destination, 200.0))
+        depart_speed = data.draw(st.sampled_from([0.0, -0.0]), label="depart_speed")
+        flows.append(Flow(origin, destination, 200.0, depart_speed))
     params = VehicleParams()
     sim = Simulation(
         net, flows=flows, algorithm=algorithm, seed=seed,
         clock=SimClock(dt=dt, horizon=HORIZON, warmup=0.0, cooldown=0.0),
         vehicle=params,
     )
+    # A vehicle is logged first as inserted: at position params.length,
+    # with its departure speed capped by vff and a fresh ledger.
+    for queue in sim._pending.values():
+        for pending in queue:
+            assert math.copysign(1.0, pending.depart_speed) > 0, pending.vid
     # Vehicle id -> (waiting, accumulated) after the previous step.
     last_ledgers: dict[str, tuple[float, float]] = {}
     # A standalone timer running the fixed two-phase plan.
@@ -88,4 +98,6 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
                         expected.waiting, expected.accumulated
                     ), veh.vid
                     last_ledgers[veh.vid] = (ledger.waiting, ledger.accumulated)
+                    for x in (veh.position, veh.speed, ledger.waiting, ledger.accumulated):
+                        assert x != 0.0 or math.copysign(1.0, x) > 0, (veh.vid, x)
                     leader = veh

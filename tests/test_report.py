@@ -256,14 +256,20 @@ def _segment(data, segment_id):
         pytest.param(lambda d: d.update(extra=1), "extra", id="top-level-unknown-key"),
         pytest.param(lambda d: d.update(subject_intersection=5), "subject_intersection",
                      id="subject-not-string"),
+        pytest.param(lambda d: d["boundary_nodes"].update({"n0-0": [0, 0]}),
+                     "boundary_nodes.n0-0", id="node-also-boundary"),
+        pytest.param(lambda d: [], "must be an object, got []", id="document-not-object"),
+        pytest.param(lambda d: d["segments"][4].update(length=-1.0),
+                     "segments[4].length must be positive", id="length-negative"),
     ],
 )
 def test_report_rejects_invalid_network_field(good_run, tmp_path, capsys, edit, field):
     # report reads network.json through the same checks as a network file.
     run = broken_copy(good_run, tmp_path)
     data = json.loads((run / "network.json").read_text())
-    edit(data)
-    (run / "network.json").write_text(json.dumps(data))
+    # An edit in place returns None; any other result replaces the document.
+    replaced = edit(data)
+    (run / "network.json").write_text(json.dumps(data if replaced is None else replaced))
     assert f"network.json: {field}" in report_error(run, capsys)
     assert not (run / "report.json").exists()
 

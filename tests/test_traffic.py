@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from signaltwin import traffic
 from signaltwin.network import build_grid
 from signaltwin.traffic import (
     Departure,
@@ -230,6 +231,44 @@ def test_determinism_bit_identical_logs(grid3):
     assert rows_a == rows_b
     assert signals_a == signals_b
     assert result_a == result_b
+
+
+@pytest.mark.parametrize("memo_limit", [None, 4], ids=["memo", "memo-cleared"])
+def test_trajectory_writer_matches_per_row_repr(grid3, monkeypatch, memo_limit):
+    # The memoised writer gives the bytes of one repr per value, one sink
+    # call per step that has rows; a tiny memo limit runs its clear path.
+    if memo_limit is not None:
+        monkeypatch.setattr(traffic, "_REPR_MEMO_LIMIT", memo_limit)
+    reference, steps_with_rows = [], [0]
+    tick = Simulation._tick_signals
+
+    def record_then_tick(self, k, t):
+        # Called right after the step's rows are logged.
+        rows = [
+            f"{t!r},{veh.vid},{veh.route[veh.route_index]},{veh.position!r},{veh.speed!r},"
+            f"{veh.ledger.waiting!r},{veh.ledger.accumulated!r}\n"
+            for veh in self.iter_vehicles()
+        ]
+        reference.extend(rows)
+        steps_with_rows[0] += bool(rows)
+        return tick(self, k, t)
+
+    monkeypatch.setattr(Simulation, "_tick_signals", record_then_tick)
+    pairs = [(o, d) for o in grid3.peripheral_entries() for d in grid3.peripheral_exits()]
+    # A -0.0 departure speed is logged as 0.0.
+    flows = [Flow(o, d, 90.0, -0.0 if i % 2 else 0.0) for i, (o, d) in enumerate(pairs[::5])]
+    chunks = []
+    sim = Simulation(
+        grid3, flows=flows, algorithm="dt2", seed=4,
+        clock=SimClock(dt=0.5, horizon=600.0, warmup=0.0, cooldown=0.0),
+        trajectory_sink=chunks.append,
+    )
+    sim.run()
+    assert "".join(chunks).splitlines(keepends=True) == reference
+    assert len(chunks) == steps_with_rows[0] > 0
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert "-0.0" not in {f for row in reference for f in row[:-1].split(",")[3:]}
+    assert len(sim._repr_memo) <= (memo_limit or traffic._REPR_MEMO_LIMIT)
 
 
 def test_metrics_window_excludes_warmup_and_cooldown(grid3):
