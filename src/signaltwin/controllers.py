@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .network import METERS_PER_MILE, Movement
+from .network import ALL_MOVEMENTS, METERS_PER_MILE, Movement
 from .signals import GREEN_PHASE_FOR_MOVEMENT, PHASE_MOVEMENTS
 
 # Registration order; also the tie-break order when scores are equal.
@@ -41,7 +41,7 @@ class DecisionInput:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        missing = [m for m in Movement if m not in self.values]
+        missing = [m for m in ALL_MOVEMENTS if m not in self.values]
         if missing:
             raise ValueError(f"missing movements in decision input: {missing}")
         for movement, value in self.values.items():

@@ -99,14 +99,23 @@ def average_approach_delay(
     ``variant`` selects the per-vehicle delay definition: "dt1" for the
     current-approach delay, "dt2" to add the carried-over share.
     """
+    delays, average = approach_delays(ledgers, variant)
+    return ApproachDelaySnapshot(approach=approach, vehicle_delays=delays, average=average)
+
+
+def approach_delays(
+    ledgers: Iterable[DelayLedger], variant: str
+) -> tuple[tuple[float, ...], float]:
+    """The per-vehicle delays of one approach and their average (0 when
+    empty), under ``variant`` as in ``average_approach_delay``.  The
+    engine's dt1/dt2 decision values are these averages."""
     if variant == "dt1":
-        delays = tuple(vehicle_delay_dt1(l) for l in ledgers)
+        delays = tuple(map(vehicle_delay_dt1, ledgers))
     elif variant == "dt2":
-        delays = tuple(vehicle_delay_dt2(l) for l in ledgers)
+        delays = tuple(map(vehicle_delay_dt2, ledgers))
     else:
         raise ValueError(f"unknown delay variant: {variant!r}")
-    average = sum(delays) / len(delays) if delays else 0.0
-    return ApproachDelaySnapshot(approach=approach, vehicle_delays=delays, average=average)
+    return delays, (sum(delays) / len(delays) if delays else 0.0)
 
 
 def segment_delay(t_in: float, t_out: float, length: float, v_ff: float) -> float:

@@ -192,6 +192,8 @@ class Network:
         self.boundary_nodes = dict(boundary_nodes)
         self.segments = dict(segments)
         self.subject_intersection = subject_intersection
+        # (origin, destination) -> route, filled by shortest_path.
+        self._routes: dict[tuple[str, str], Route] = {}
 
         self._incoming: dict[str, list[str]] = {n: [] for n in self._all_nodes()}
         self._outgoing: dict[str, list[str]] = {n: [] for n in self._all_nodes()}
@@ -375,8 +377,17 @@ def shortest_path(network: Network, origin: str, destination: str) -> Route:
     """Minimum-length route between two peripheral segments.
 
     Among equal-length routes the lexicographically smallest sequence of
-    segment ids is returned, so routing is fully deterministic.
+    segment ids is returned, so routing is fully deterministic.  Routes
+    are memoised on the network, which never changes; a pair that raises
+    is not memoised, so it raises again.
     """
+    route = network._routes.get((origin, destination))
+    if route is None:
+        route = network._routes[origin, destination] = _shortest_path(network, origin, destination)
+    return route
+
+
+def _shortest_path(network: Network, origin: str, destination: str) -> Route:
     network.segment(origin)  # raises for unknown ids
     dst = network.segment(destination)
     if origin == destination:

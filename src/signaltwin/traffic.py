@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,14 +26,13 @@ import numpy as np
 from .controllers import (
     DECIDE_BY_ALGORITHM,
     DecisionInput,
-    approach_density,
     meters_to_miles,
     validate_algorithm,
 )
 from .delay import (
     STOP_SPEED_THRESHOLD,
     DelayLedger,
-    average_approach_delay,
+    approach_delays,
     on_approach_transition,
     segment_delay,
     update_waiting,
@@ -51,6 +51,7 @@ from .signals import (
     A_YELLOW,
     ASPECTS_PERMISSIVE,
     ASPECTS_PROTECTED,
+    DECISION_PERIOD,
     MOVEMENT_INDEX,
     ControllerTimer,
 )
@@ -67,6 +68,10 @@ STOP_LINE_MARGIN = 1.0
 # Split (s) of each phase of the fixed two-phase plan that every
 # intersection except the subject runs.
 FIXED_SPLIT = 30.0
+
+# The signal ahead of a segment, an index into Simulation._aspect_rows:
+# none (an exit stub), the subject's or the fixed plan's.
+_NO_SIGNAL, _SUBJECT, _FIXED = 0, 1, 2
 
 # How departures are spread over time: exponential headways or even spacing.
 DEPARTURE_MODES = ("poisson", "uniform")
@@ -165,6 +170,51 @@ class Departure(NamedTuple):
 
 # One scheduled departure: (time, flow index, origin, destination, depart_speed).
 DepartureRow = tuple[float, int, str, str, float]
+
+
+class FixedPlan(NamedTuple):
+    """The fixed two-phase plan as a table of steps.
+
+    ``rows[i]`` is the (phase, stage, green_elapsed) that a fixed-time
+    intersection logs for step ``i``.  The first ``prefix`` rows are run
+    once; the last ``cycle`` rows then repeat for ever.
+    """
+
+    rows: tuple[tuple[int, str, float], ...]
+    prefix: int
+    cycle: int
+
+    def index(self, k: int) -> int:
+        """The table row of step ``k``."""
+        return k if k < self.prefix else self.prefix + (k - self.prefix) % self.cycle
+
+
+@cache
+def fixed_plan(dt: float) -> FixedPlan:
+    """The fixed plan at step length ``dt``, built once per ``dt``.
+
+    A ``ControllerTimer`` runs the fixed source (phase 0 for the first
+    split of each cycle, phase 2 for the second) until its state repeats.
+    The source reads the step index modulo the plan's period and the
+    timer decides at multiples of its decision steps, so the index counts
+    in the state modulo the least common multiple of the two.  At dt 1
+    this is a 34-step prefix and a 60-step cycle (the rows alone repeat
+    from step 33, but there the timer still holds the first green's
+    length, 30 s where later greens hold 27 s).
+    """
+    period, half = round(2 * FIXED_SPLIT / dt), round(FIXED_SPLIT / dt)
+    wrap = math.lcm(period, round(DECISION_PERIOD / dt))
+    timer = ControllerTimer(dt)
+    first_seen: dict[tuple, int] = {}
+    rows: list[tuple[int, str, float]] = []
+    k = 0
+    while (state := (k % wrap, *vars(timer).values())) not in first_seen:
+        first_seen[state] = k
+        phase = timer.tick(k, lambda: 0 if k % period < half else 2)
+        rows.append((phase, timer.stage, timer.green_elapsed))
+        k += 1
+    prefix = first_seen[state]
+    return FixedPlan(tuple(rows), prefix, k - prefix)
 
 
 def stream_seed(seed: int, label: str) -> np.random.SeedSequence:
@@ -292,18 +342,17 @@ class _SegmentState:
 
     __slots__ = (
         "index", "seg_id", "length", "vff", "lane_count", "pocket_start",
-        "to_node", "at_subject", "lanes", "pocket", "sweep",
+        "signal", "lanes", "pocket", "sweep",
     )
 
-    def __init__(self, index: int, seg, subject: str) -> None:
+    def __init__(self, index: int, seg, signal: int) -> None:
         self.index = index  # position in Simulation._state_list
         self.seg_id = seg.id
         self.length = seg.length
         self.vff = seg.free_flow_speed
         self.lane_count = seg.lane_count
         self.pocket_start = seg.pocket_start
-        self.to_node = seg.to_node
-        self.at_subject = seg.to_node == subject
+        self.signal = signal  # _NO_SIGNAL, _SUBJECT or _FIXED
         self.lanes: list[list[Vehicle]] = [[] for _ in range(seg.lane_count)]
         self.pocket: list[Vehicle] | None = [] if seg.has_pocket else None
         # Lanes in sweep order: the pocket first, then the through lanes.
@@ -407,9 +456,13 @@ class Simulation:
         self.t = 0.0
 
         subject = network.subject_intersection
+        segments = network.segments
+        signal_at = {**dict.fromkeys(network.nodes, _FIXED), subject: _SUBJECT}
         self._states: dict[str, _SegmentState] = {
-            seg_id: _SegmentState(i, network.segments[seg_id], subject)
-            for i, seg_id in enumerate(sorted(network.segments))
+            seg_id: _SegmentState(
+                i, segments[seg_id], signal_at.get(segments[seg_id].to_node, _NO_SIGNAL)
+            )
+            for i, seg_id in enumerate(sorted(segments))
         }
         self._state_list = list(self._states.values())
         # Indices into _state_list of the segments that hold a vehicle.
@@ -417,23 +470,30 @@ class Simulation:
 
         # Signals: the subject intersection runs the adaptive nine-phase
         # plan; every other intersection runs the same fixed-time two-phase
-        # plan with permissive lefts from the same start, so one timer
-        # drives them all.  Nodes are logged in sorted order.
+        # plan with permissive lefts from the same start, which one table
+        # holds.  Nodes are logged in sorted order.
         nodes = sorted(network.nodes)
         at = nodes.index(subject)
         self._fixed_before, self._fixed_after = nodes[:at], nodes[at + 1:]
-        self._fixed_nodes = self._fixed_before + self._fixed_after
         self._subject_timer = ControllerTimer(self.dt)
-        self._fixed_timer = ControllerTimer(self.dt)
-        self._fixed_source = self._make_fixed_source(
-            round(2 * FIXED_SPLIT / self.dt), round(FIXED_SPLIT / self.dt)
-        )
+        self._plan = fixed_plan(self.dt)
         self._subject_node = subject
-        self._subject_states = [
-            self._states[s] for s in network.incoming(subject)
-        ]
-        # Node -> aspect row shown this step, indexed by MOVEMENT_INDEX.
-        self._displays: dict[str, tuple[int, ...]] = {}
+        # The aspect row shown this step, indexed by MOVEMENT_INDEX, per
+        # _SegmentState.signal: none, the subject's, the fixed plan's.
+        self._aspect_rows: list[tuple[int, ...] | None] = [None, None, None]
+        # The subject's signal-log row of each step; signal_log adds the rest.
+        self._subject_log: list[tuple[float, str, int, str, float]] = []
+        self._signal_log: list[tuple[float, str, int, str, float]] = []
+        # Per subject approach: its state, its through and left movements,
+        # and the lane-miles of its through lanes and of its pocket.
+        self._subject_approaches = tuple(
+            (
+                st, segments[st.seg_id].movement, segments[st.seg_id].left_movement,
+                st.lane_count * meters_to_miles(st.length),
+                meters_to_miles(st.length - st.pocket_start),
+            )
+            for st in (self._states[s] for s in network.incoming(subject))
+        )
 
         # Demand: explicit schedule or flows expanded per departure mode.
         self.flows: tuple[Flow, ...] = tuple(flows) if flows else ()
@@ -462,6 +522,7 @@ class Simulation:
         for queue in self._pending.values():
             queue.reverse()  # pop from the end = earliest departure first
         self._pending_count = sum(len(q) for q in self._pending.values())
+        self._next_due = self._earliest_departure()
         self.flow_insertions: list[list[float]] = [[] for _ in range(max(n_flows, len(self.flows)))]
 
         # Counters and measurement records.
@@ -471,7 +532,6 @@ class Simulation:
         self._control_delays: list[tuple[float, float]] = []
         # Indexed by MOVEMENT_INDEX; keyed by movement name only in result().
         self._movement_stops: list[list[tuple[float, float]]] = [[] for _ in ALL_MOVEMENTS]
-        self.signal_log: list[tuple[float, str, int, str, float]] = []
         self.swap_events: list[dict] = []
         self._pending_algorithm: tuple[str, str] | None = None
 
@@ -500,12 +560,6 @@ class Simulation:
             self._route_meta[key] = meta
         return meta
 
-    def _make_fixed_source(self, period_steps: int, half_steps: int) -> Callable[[], int]:
-        def fixed_decision() -> int:
-            return 0 if (self._step_index % period_steps) < half_steps else 2
-
-        return fixed_decision
-
     # -- adaptive control ----------------------------------------------------
 
     def set_algorithm(self, token: str, tag: str = "") -> None:
@@ -531,26 +585,16 @@ class Simulation:
     def _decision_input(self) -> DecisionInput:
         values: dict[Movement, float] = {}
         if self.algorithm == "baseline":
-            for st in self._subject_states:
-                seg = self.network.segments[st.seg_id]
-                n_through = sum(len(lane) for lane in st.lanes)
-                values[seg.movement] = approach_density(
-                    n_through, st.lane_count, meters_to_miles(st.length)
-                )
-                values[seg.left_movement] = approach_density(
-                    len(st.pocket), 1, meters_to_miles(st.length - st.pocket_start)
-                )
+            # controllers.approach_density, over lane-miles computed once.
+            for st, through, left, through_miles, pocket_miles in self._subject_approaches:
+                values[through] = sum(map(len, st.lanes)) / through_miles
+                values[left] = len(st.pocket) / pocket_miles
         else:
-            for st in self._subject_states:
-                seg = self.network.segments[st.seg_id]
-                through = (veh.ledger for lane in st.lanes for veh in lane)
-                values[seg.movement] = average_approach_delay(
-                    st.seg_id, through, self.algorithm
-                ).average
-                pocket = (veh.ledger for veh in st.pocket)
-                values[seg.left_movement] = average_approach_delay(
-                    st.seg_id, pocket, self.algorithm
-                ).average
+            variant = self.algorithm
+            for st, through, left, _, _ in self._subject_approaches:
+                ledgers = (veh.ledger for lane in st.lanes for veh in lane)
+                values[through] = approach_delays(ledgers, variant)[1]
+                values[left] = approach_delays((veh.ledger for veh in st.pocket), variant)[1]
         return DecisionInput(values=values, intersection=self._subject_node, time=self.t)
 
     # -- stepping ------------------------------------------------------------
@@ -581,6 +625,8 @@ class Simulation:
 
     def _insert_departures(self, t: float) -> list[str]:
         inserted: list[str] = []
+        if t + 1e-9 < self._next_due:
+            return inserted  # no origin has a departure due
         params = self.params
         min_entry = params.length + params.min_gap
         for origin, queue in self._pending.items():
@@ -612,27 +658,51 @@ class Simulation:
                 self._depart_delay_sum += t - pend.depart_time
                 self.flow_insertions[pend.flow_index].append(t)
                 inserted.append(pend.vid)
+        if inserted:
+            self._next_due = self._earliest_departure()
         return inserted
+
+    def _earliest_departure(self) -> float:
+        """The earliest departure time still pending; inf if none is.
+
+        Only an insertion changes it, so ``_insert_departures`` refreshes
+        it after each step that inserts.  A due departure that its origin
+        blocks keeps it at or below the clock, so it is retried every step.
+        """
+        return min((q[-1].depart_time for q in self._pending.values() if q), default=math.inf)
 
     # -- signals ---------------------------------------------------------------
 
     def _tick_signals(self, k: int, t: float) -> None:
-        displays = self._displays
-        log = self.signal_log
-        subject = self._subject_node
         timer = self._subject_timer
         phase = timer.tick(k, self._subject_decision)
-        subject_row = (t, subject, phase, timer.stage, timer.green_elapsed)
-        displays[subject] = ASPECTS_PROTECTED[phase]
-        timer = self._fixed_timer
-        phase = timer.tick(k, self._fixed_source)
-        stage, green = timer.stage, timer.green_elapsed
-        log += [(t, node, phase, stage, green) for node in self._fixed_before]
-        log.append(subject_row)
-        log += [(t, node, phase, stage, green) for node in self._fixed_after]
-        aspects = ASPECTS_PERMISSIVE[phase]
-        for node in self._fixed_nodes:
-            displays[node] = aspects
+        self._subject_log.append((t, self._subject_node, phase, timer.stage, timer.green_elapsed))
+        rows = self._aspect_rows
+        rows[_SUBJECT] = ASPECTS_PROTECTED[phase]
+        plan = self._plan
+        rows[_FIXED] = ASPECTS_PERMISSIVE[plan.rows[plan.index(k)][0]]
+
+    @property
+    def signal_log(self) -> list[tuple[float, str, int, str, float]]:
+        """One (t, node, phase, stage, green_elapsed) row per intersection
+        and step run so far, nodes in sorted order within a step.
+
+        Only the subject's rows are recorded as the run goes; the fixed
+        nodes' rows are rebuilt from the fixed-plan table when the log is
+        read.  The same list is returned on every read, extended by the
+        steps run since the last one; do not modify it.
+        """
+        log = self._signal_log
+        plan, before, after = self._plan, self._fixed_before, self._fixed_after
+        subject_log = self._subject_log
+        for k in range(len(log) // (len(before) + 1 + len(after)), len(subject_log)):
+            row = subject_log[k]
+            t = row[0]
+            fixed = plan.rows[plan.index(k)]
+            log += [(t, node, *fixed) for node in before]
+            log.append(row)
+            log += [(t, node, *fixed) for node in after]
+        return log
 
     # -- vehicle dynamics --------------------------------------------------------
 
@@ -659,7 +729,7 @@ class Simulation:
         veh_len = params.length
         accel_dt = params.max_accel * dt
         two_decel = 2.0 * params.max_decel
-        all_displays = self._displays
+        aspect_rows = self._aspect_rows
         cross = self._cross
         states = self._state_list
         occupied = self._occupied
@@ -670,7 +740,7 @@ class Simulation:
             seg_len = st.length
             pocket = st.pocket
             pocket_start = st.pocket_start
-            displays = all_displays.get(st.to_node)
+            displays = aspect_rows[st.signal]
             left = False  # a vehicle crossed out of this segment
             for lane in sweep:
                 n = len(lane)
@@ -807,7 +877,7 @@ class Simulation:
 
         # Stopped delay incurred on the approach being left.
         ledger = veh.ledger
-        if st.at_subject:
+        if st.signal == _SUBJECT:
             stopped = ledger.accumulated - ledger.entry_accumulated
             self._movement_stops[veh.stop_movements[idx]].append((t_out, stopped))
             self._control_delays.append(

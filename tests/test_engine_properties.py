@@ -6,17 +6,24 @@ gap to the leader, position and speed bounds, and monotone stopped-delay
 ledgers that advance each step exactly as ``delay.update_waiting`` does
 (the sweep keeps an inline copy of that rule).  They also guard the
 shortcuts of the step: the set of occupied segments that the sweep
-visits, and the one timer that drives every fixed-time intersection.
+visits, and the table of the plan that every fixed-time intersection
+runs, against a standalone timer.
 No logged value is ever ``-0.0``, which the trajectory writer's repr memo
 could not tell from ``0.0``.
 """
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from signaltwin.controllers import ALGORITHMS
-from signaltwin.delay import DelayLedger, update_waiting
+from signaltwin.controllers import ALGORITHMS, approach_density, meters_to_miles
+from signaltwin.delay import (
+    DelayLedger,
+    LedgerCorruptionError,
+    average_approach_delay,
+    update_waiting,
+)
 from signaltwin.network import build_grid
 from signaltwin.signals import ControllerTimer
 from signaltwin.traffic import (
@@ -24,6 +31,7 @@ from signaltwin.traffic import (
     Flow,
     SimClock,
     Simulation,
+    Vehicle,
     VehicleParams,
     scenario_catalog,
 )
@@ -101,3 +109,64 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
                     for x in (veh.position, veh.speed, ledger.waiting, ledger.accumulated):
                         assert x != 0.0 or math.copysign(1.0, x) > 0, (veh.vid, x)
                     leader = veh
+
+
+# A delay ledger that ``vehicle_delay_dt1`` accepts: accumulated >= entry.
+_ledgers = st.builds(
+    lambda entry, extra, waiting, carried: DelayLedger(waiting, entry + extra, entry, carried),
+    *(st.floats(min_value=0.0, max_value=900.0, allow_subnormal=False) for _ in range(4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lane_count=st.integers(min_value=1, max_value=3),
+    length=st.floats(min_value=50.0, max_value=2000.0),
+    pocket_share=st.floats(min_value=0.01, max_value=0.9),
+    data=st.data(),
+)
+def test_decision_values_are_the_observation_functions(lane_count, length, pocket_share, data):
+    # The engine divides by lane-miles computed once; each value must equal
+    # approach_density and average_approach_delay(...).average bit for bit.
+    net = build_grid(3, 3, length, lane_count, length * pocket_share, 13.89)
+    sim = Simulation(net, schedule=[], clock=SimClock(horizon=60.0, warmup=0.0, cooldown=0.0))
+    params = VehicleParams()
+    expected = {algorithm: {} for algorithm in ALGORITHMS}
+    for seg_id in net.incoming(net.subject_intersection):
+        seg, state = net.segments[seg_id], sim._states[seg_id]
+        for lane in state.sweep:
+            for ledger in data.draw(st.lists(_ledgers, max_size=6), label=seg_id):
+                veh = Vehicle(f"v{len(lane)}", (seg_id,), ("exit",), (0,), params, 0.0, 0.0)
+                veh.ledger = ledger
+                lane.append(veh)
+        through = [veh.ledger for lane in state.lanes for veh in lane]
+        pocket = [veh.ledger for veh in state.pocket]
+        expected["baseline"][seg.movement] = approach_density(
+            len(through), seg.lane_count, meters_to_miles(seg.length))
+        expected["baseline"][seg.left_movement] = approach_density(
+            len(pocket), 1, meters_to_miles(seg.length - seg.pocket_start))
+        for variant in ("dt1", "dt2"):
+            expected[variant][seg.movement] = average_approach_delay(
+                seg_id, through, variant).average
+            expected[variant][seg.left_movement] = average_approach_delay(
+                seg_id, pocket, variant).average
+    for algorithm in ALGORITHMS:
+        sim.algorithm = algorithm
+        values = sim._decision_input().values
+        assert {m: v.hex() for m, v in values.items()} == {
+            m: v.hex() for m, v in expected[algorithm].items()
+        }, algorithm
+
+
+@pytest.mark.parametrize("variant", ["dt1", "dt2"])
+@pytest.mark.parametrize("in_pocket", [False, True])
+def test_decision_input_refuses_a_corrupted_ledger(variant, in_pocket):
+    net = build_grid(3, 3, 300.0, 2, 60.0, 13.89)
+    sim = Simulation(net, schedule=[], algorithm=variant,
+                     clock=SimClock(horizon=60.0, warmup=0.0, cooldown=0.0))
+    state = sim._states[net.incoming(net.subject_intersection)[-1]]
+    veh = Vehicle("v0", (state.seg_id,), ("exit",), (0,), VehicleParams(), 0.0, 0.0)
+    veh.ledger = DelayLedger(accumulated=3.0, entry_accumulated=4.0)  # below entry
+    (state.pocket if in_pocket else state.lanes[0]).append(veh)
+    with pytest.raises(LedgerCorruptionError, match="below entry snapshot"):
+        sim._decision_input()

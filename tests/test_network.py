@@ -141,6 +141,44 @@ def test_shortest_path_errors(grid3):
         shortest_path(grid3, "nope", "n1-2:be-1")
 
 
+def test_shortest_path_memo_keeps_errors_and_serialisation(tmp_path):
+    net = build_grid(3, 3, 500.0, 2, 80.0, 13.89)
+    before = network_to_dict(net)
+    save_network(net, tmp_path / "before.json")
+    pairs = [(o, d) for o in net.peripheral_entries() for d in net.peripheral_exits()]
+    routes = [shortest_path(net, o, d) for o, d in pairs]
+    assert [shortest_path(net, o, d) for o, d in pairs] == routes
+    assert all(shortest_path(net, o, d) is r for (o, d), r in zip(pairs, routes))  # memoised
+    assert network_to_dict(net) == before
+    save_network(net, tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    for _ in range(2):  # a pair that raised raises again
+        with pytest.raises(NetworkError):
+            shortest_path(net, "n1-0:n1-1", "n1-2:be-1")  # interior origin
+        with pytest.raises(NetworkError):
+            shortest_path(net, "bw-1:n1-0", "n1-0:n1-1")  # interior destination
+        with pytest.raises(UnknownIdError):
+            shortest_path(net, "nope", "n1-2:be-1")
+        with pytest.raises(UnknownIdError):
+            shortest_path(net, "bw-1:n1-0", "nope")
+
+
+def test_networks_never_share_routes():
+    # The same ids in two networks: a longer segment changes the route.
+    origin, destination = "bw-0:n0-0", "n2-1:bn-1"
+    plain = build_grid(3, 3, 500.0, 2, 80.0, 13.89)
+    data = network_to_dict(plain)
+    route = shortest_path(plain, origin, destination)
+    for row in data["segments"]:
+        if row["id"] == route[1]:
+            row["length"] = 900.0
+    detour = network_from_dict(data)
+    other = shortest_path(detour, origin, destination)
+    assert other != route
+    assert other == shortest_path(network_from_dict(data), origin, destination)
+    assert shortest_path(plain, origin, destination) == route
+
+
 def test_no_path_error():
     net = build_grid(1, 2, 400.0, 1, 40.0, 13.89)
     data = network_to_dict(net)

@@ -356,23 +356,26 @@ def test_spillback_blocks_crossing_on_green():
         net, flows=flows, algorithm="baseline", seed=8,
         clock=SimClock(dt=1.0, horizon=300.0, warmup=0.0, cooldown=0.0),
     )
+    from signaltwin.network import Movement
+    from signaltwin.signals import MOVEMENT_INDEX
+    from signaltwin.traffic import A_GREEN
+
+    entry = sim._states["bw-0:n0-0"]
     blocked_on_green = False
+    aspects_read = 0
     for _ in range(300):
         sim.step()
         assert sim.inserted - sim.exited == sim.vehicles_on_network()
-        entry = sim._states["bw-0:n0-0"]
-        display = sim._displays.get("n0-0")
-        if display is None:
-            continue
-        from signaltwin.network import Movement
-        from signaltwin.signals import MOVEMENT_INDEX
-        from signaltwin.traffic import A_GREEN
-
+        # The aspect row the sweep read for the entry segment in this step.
+        display = sim._aspect_rows[entry.signal]
+        assert display is not None
+        aspects_read += 1
         lane = entry.lanes[0]
         if lane and display[MOVEMENT_INDEX[Movement.EBT]] == A_GREEN:
             front = lane[0]
             if front.position > entry.length - 2.0 and front.speed == 0.0:
                 blocked_on_green = True
+    assert aspects_read == 300
     assert blocked_on_green, "expected green-blocked spillback at the entry"
 
 
@@ -419,3 +422,94 @@ def test_simulation_rejects_flow_and_schedule_mix(grid3):
             flows=(Flow("bw-1:n1-0", "n1-2:be-1", 10.0),),
             schedule=[(0.0, 0, "bw-1:n1-0", "n1-2:be-1", 0.0)],
         )
+
+
+# -- fixed plan and insertion shortcuts ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dt, prefix, cycle", [(1.0, 34, 60), (0.5, 67, 120), (0.25, 133, 240), (0.2, 166, 300)]
+)
+def test_fixed_plan_table_matches_a_running_timer(dt, prefix, cycle):
+    from signaltwin.signals import ControllerTimer
+
+    plan = traffic.fixed_plan(dt)
+    assert plan is traffic.fixed_plan(dt)  # built once per dt
+    assert (plan.prefix, plan.cycle) == (prefix, cycle)
+    assert len(plan.rows) == plan.prefix + plan.cycle
+    period, split = round(2 * traffic.FIXED_SPLIT / dt), round(traffic.FIXED_SPLIT / dt)
+    timer = ControllerTimer(dt)
+    for k in range(plan.prefix + 3 * plan.cycle):
+        phase = timer.tick(k, lambda: 0 if k % period < split else 2)
+        row = plan.rows[plan.index(k)]
+        assert row == (phase, timer.stage, timer.green_elapsed), k
+        assert row[2].hex() == timer.green_elapsed.hex(), k  # bit for bit
+
+
+class _InsertEveryStep(Simulation):
+    """The engine with the insertion rule that looks at every origin on
+    every step, without the skip of steps with nothing due."""
+
+    def _insert_departures(self, t):
+        inserted = []
+        params = self.params
+        min_entry = params.length + params.min_gap
+        for origin, queue in self._pending.items():
+            st = self._states[origin]
+            while queue and queue[-1].depart_time <= t + 1e-9:
+                best_lane = None
+                best_rear = -1.0
+                for lane in st.lanes:
+                    rear = lane[-1].position - lane[-1].length if lane else st.length + 1e9
+                    if rear > best_rear:
+                        best_rear = rear
+                        best_lane = lane
+                if best_rear < min_entry:
+                    break
+                pend = queue.pop()
+                veh = traffic.Vehicle(
+                    vid=pend.vid, route=pend.route, turns=pend.turns,
+                    stop_movements=pend.stop_movements, params=params, entry_time=t,
+                    depart_speed=min(pend.depart_speed, st.vff),
+                )
+                best_lane.append(veh)
+                self._occupied.add(st.index)
+                self.inserted += 1
+                self._pending_count -= 1
+                self._depart_delay_sum += t - pend.depart_time
+                self.flow_insertions[pend.flow_index].append(t)
+                inserted.append(pend.vid)
+        return inserted
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+def test_insertion_skip_keeps_the_every_step_rule(dt):
+    # A single-lane entry: five departures at 0 block it for several steps.
+    net = build_grid(1, 1, 200.0, 1, 40.0, 13.89)
+    west, south = "bw-0:n0-0", "bs-0:n0-0"
+    exit_east, exit_north = "n0-0:be-0", "n0-0:bn-0"
+    schedule = [(0.0, 0, west, exit_east, 0.0)] * 5 + [
+        (3.0, 1, south, exit_north, 0.0),  # exactly on a step
+        (3.0 + 1e-10, 2, west, exit_north, 0.0),  # 1e-10 after one
+        (7.3, 1, south, exit_north, 0.0),  # between steps
+        (7.3, 2, west, exit_north, 0.0),
+        (60.0 + 1e-10, 1, south, exit_north, 0.0),  # the only one due at 60
+        (40.0 + dt / 2, 0, west, exit_east, 0.0),
+        (90.0, 1, south, exit_north, 5.0),
+        (119.0 + dt / 2, 2, west, exit_north, 0.0),  # after the last step
+    ]
+    clock = SimClock(dt=dt, horizon=119.0 + dt, warmup=0.0, cooldown=0.0)
+    sims = [cls(net, schedule=schedule, seed=3, clock=clock)
+            for cls in (Simulation, _InsertEveryStep)]
+    blocked_steps = 0
+    for _ in range(clock.n_steps):
+        fast, every = (sim.step() for sim in sims)
+        assert fast == every
+        due = sum(p.depart_time <= sims[1].t - dt + 1e-9
+                  for q in sims[1]._pending.values() for p in q)
+        blocked_steps += due > 0
+    assert blocked_steps >= 3
+    assert sims[0].flow_insertions == sims[1].flow_insertions
+    assert sims[0].result().to_dict() == sims[1].result().to_dict()
+    assert sims[0].result().deferred_insertions == 1
+    assert sims[0]._next_due == 119.0 + dt / 2
