@@ -134,6 +134,10 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
     program_spec = twin.pop("demand_program", None)
     with _config_errors("twin."):
         settings = TwinSettings(**_checked(twin, TwinSettings, "twin"))
+    # Each job runs on this clock.  TwinSettings has checked the rest, so
+    # only a time off the step grid fails here, named by its field.
+    with _config_errors("twin.job_"):
+        SimClock(clock.dt, settings.job_horizon, settings.job_warmup, settings.job_cooldown)
     with _config_errors("twin.initial_algorithm: "):
         validate_algorithm(settings.initial_algorithm)
     program = _resolve_demand_program(config, network, program_spec)

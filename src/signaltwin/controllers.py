@@ -9,6 +9,9 @@ are: vehicles per lane per mile for the baseline, average stopped delay
 on the approach for dt1, and the same plus the delay carried over from
 the previous approach for dt2.
 
+The eight values are a tuple in ``ALL_MOVEMENTS`` order, the index
+``signals.MOVEMENT_INDEX`` that the engine's per-movement state also uses.
+
 So there is one ``decide``.  The observations are computed by the
 engine (``Simulation._decision_input``): they read its lanes and delay
 ledgers, so a separate observation layer here would still need all of
@@ -20,31 +23,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .network import ALL_MOVEMENTS, METERS_PER_MILE, Movement
-from .signals import GREEN_PHASE_FOR_MOVEMENT, PHASE_MOVEMENTS
+from .signals import GREEN_PHASE_FOR_MOVEMENT, MOVEMENT_INDEX, PHASE_MOVEMENTS
 
 # Registration order; also the tie-break order when scores are equal.
 ALGORITHMS = ("baseline", "dt1", "dt2")
 
-# Every movement, in decision-chain order.
-_CHAIN_ORDER = tuple(m for pair in PHASE_MOVEMENTS.values() for m in pair)
+# Every movement index, in decision-chain order.
+_CHAIN_ORDER = tuple(MOVEMENT_INDEX[m] for pair in PHASE_MOVEMENTS.values() for m in pair)
 
 
 @dataclass(frozen=True)
 class DecisionInput:
-    """Per-movement observations at one intersection and instant."""
+    """Per-movement observations at one intersection and instant; ``values``
+    is in ``ALL_MOVEMENTS`` order: EBT, WBT, NBT, SBT, EBL, WBL, NBL, SBL."""
 
-    values: Mapping[Movement, float]
+    values: tuple[float, ...]
     intersection: str = ""
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        missing = [m for m in ALL_MOVEMENTS if m not in self.values]
-        if missing:
-            raise ValueError(f"missing movements in decision input: {missing}")
-        for movement, value in self.values.items():
+        if not isinstance(self.values, tuple) or len(self.values) != len(ALL_MOVEMENTS):
+            raise ValueError(f"decision input must be a tuple of 8 values, got {self.values!r}")
+        for movement, value in zip(ALL_MOVEMENTS, self.values):
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(
                     f"decision value for {movement.value} must be finite and >= 0, got {value}"
@@ -79,8 +81,8 @@ def decide(decision_input: DecisionInput) -> Decision:
     Ties go to the first movement in ``PHASE_MOVEMENTS`` chain order.
     """
     values = decision_input.values
-    movement = max(_CHAIN_ORDER, key=values.__getitem__)
-    return Decision(GREEN_PHASE_FOR_MOVEMENT[movement], movement, values[movement])
+    index = max(_CHAIN_ORDER, key=values.__getitem__)
+    return Decision(GREEN_PHASE_FOR_MOVEMENT[index], ALL_MOVEMENTS[index], values[index])
 
 
 # The algorithms share one rule; their public names stay for callers.

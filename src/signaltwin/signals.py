@@ -33,46 +33,42 @@ PHASE_MOVEMENTS: dict[int, tuple[Movement, Movement]] = {
     6: (Movement.NBL, Movement.SBL),
 }
 
-GREEN_PHASE_FOR_MOVEMENT: dict[Movement, int] = {
-    movement: phase for phase, pair in PHASE_MOVEMENTS.items() for movement in pair
-}
-
-# Full phase/state table: phase index -> movement -> G/Y/R.
-PHASE_TABLE: dict[int, dict[Movement, str]] = {}
-for _green, _pair in PHASE_MOVEMENTS.items():
-    PHASE_TABLE[_green] = {m: ("G" if m in _pair else "R") for m in Movement}
-    PHASE_TABLE[_green + 1] = {m: ("Y" if m in _pair else "R") for m in Movement}
-PHASE_TABLE[ALL_RED_PHASE] = {m: "R" for m in Movement}
-
-# Int-coded aspects for the simulation hot loop.  ``ASPECT_NAMES[code]``
-# is the letter that ``display`` shows for a code.
+# Int-coded aspects for the simulation hot loop; ``ASPECT_NAMES[code]``
+# is the letter shown for a code.
 A_GREEN, A_YELLOW, A_RED = 0, 1, 2
 ASPECT_NAMES = ("G", "Y", "R")
-_ASPECT_CODE = {"G": A_GREEN, "Y": A_YELLOW, "R": A_RED}
 
-# Movement -> position in ``ALL_MOVEMENTS``; the aspect rows below are
-# tuples indexed by this position.
+# Movement -> position in ``ALL_MOVEMENTS``: the one index of every
+# per-movement table, engine state and decision input.
 MOVEMENT_INDEX: dict[Movement, int] = {m: i for i, m in enumerate(ALL_MOVEMENTS)}
 
-# Phase -> aspect row, protected (exact table) and with permissive lefts
-# (a left movement follows its parallel through).
-ASPECTS_PROTECTED: tuple[tuple[int, ...], ...] = tuple(
-    tuple(_ASPECT_CODE[PHASE_TABLE[phase][m]] for m in ALL_MOVEMENTS)
-    for phase in range(len(PHASE_TABLE))
+# Movement index -> the green phase serving that movement.
+GREEN_PHASE_FOR_MOVEMENT: tuple[int, ...] = tuple(
+    next(phase for phase, pair in PHASE_MOVEMENTS.items() if m in pair) for m in ALL_MOVEMENTS
+)
+
+# Phase -> aspect row indexed by MOVEMENT_INDEX.  Protected: a green
+# phase shows its pair green, the next (yellow) phase shows it yellow and
+# all else is red.  Permissive: a left follows its parallel through.
+ASPECTS_PROTECTED: tuple[tuple[int, ...], ...] = (
+    *(
+        tuple(aspect if m in pair else A_RED for m in ALL_MOVEMENTS)
+        for pair in PHASE_MOVEMENTS.values()
+        for aspect in (A_GREEN, A_YELLOW)
+    ),
+    (A_RED,) * len(ALL_MOVEMENTS),
 )
 ASPECTS_PERMISSIVE: tuple[tuple[int, ...], ...] = tuple(
-    tuple(ASPECTS_PROTECTED[phase][MOVEMENT_INDEX[m.through if m.is_left else m]]
-          for m in ALL_MOVEMENTS)
-    for phase in range(len(PHASE_TABLE))
+    tuple(row[MOVEMENT_INDEX[m.through if m.is_left else m]] for m in ALL_MOVEMENTS)
+    for row in ASPECTS_PROTECTED
 )
 
 
 def phase_for_movement(phase: int, movement: Movement) -> str:
     """State (G, Y or R) shown to a movement in the given phase."""
-    try:
-        return PHASE_TABLE[phase][movement]
-    except KeyError:
-        raise ValueError(f"unknown phase {phase!r}") from None
+    if phase not in range(len(ASPECTS_PROTECTED)):
+        raise ValueError(f"unknown phase {phase!r}")
+    return ASPECT_NAMES[ASPECTS_PROTECTED[phase][MOVEMENT_INDEX[movement]]]
 
 
 class PhaseChangeRejected(RuntimeError):
@@ -156,16 +152,6 @@ class ControllerTimer:
         if self.stage == STAGE_GREEN:
             self._green_steps += 1
         return phase
-
-    def display(self, movement: Movement, permissive_lefts: bool = False) -> str:
-        """Aspect currently shown to a movement: G, Y or R.
-
-        With ``permissive_lefts`` a left movement follows its parallel
-        through movement's aspect, which keeps left turns serviceable at
-        intersections running a two-phase plan.
-        """
-        table = ASPECTS_PERMISSIVE if permissive_lefts else ASPECTS_PROTECTED
-        return ASPECT_NAMES[table[self.current_phase][MOVEMENT_INDEX[movement]]]
 
 
 def _exact_steps(duration: float, dt: float, name: str) -> int:

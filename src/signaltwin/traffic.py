@@ -39,7 +39,6 @@ from .delay import (
 )
 from .network import (
     ALL_MOVEMENTS,
-    Movement,
     Network,
     left_movement,
     shortest_path,
@@ -54,6 +53,7 @@ from .signals import (
     DECISION_PERIOD,
     MOVEMENT_INDEX,
     ControllerTimer,
+    _exact_steps,
 )
 
 SCENARIO_CLASS_BY_ID = {
@@ -135,6 +135,11 @@ class SimClock:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.warmup < 0.0 or self.cooldown < 0.0:
             raise ValueError("warmup and cooldown must be >= 0")
+        # Every time is a whole number of steps; warmup and cooldown may be 0.
+        _exact_steps(self.horizon, self.dt, "horizon")
+        for name in ("warmup", "cooldown"):
+            if getattr(self, name):
+                _exact_steps(getattr(self, name), self.dt, name)
         if self.horizon < self.warmup + self.cooldown:
             raise ValueError("horizon must cover warmup + cooldown")
 
@@ -310,7 +315,7 @@ class Vehicle:
     """Mutable per-vehicle state; lives inside exactly one lane list."""
 
     __slots__ = (
-        "vid", "route", "route_index", "position", "speed", "length",
+        "vid", "route", "route_index", "position", "speed",
         "ledger", "entry_time", "turns", "stop_movements", "moved_step",
     )
 
@@ -329,7 +334,6 @@ class Vehicle:
         self.route_index = 0
         self.position = params.length
         self.speed = depart_speed
-        self.length = params.length
         self.ledger = DelayLedger()
         self.entry_time = entry_time
         self.turns = turns
@@ -484,15 +488,15 @@ class Simulation:
         # The subject's signal-log row of each step; signal_log adds the rest.
         self._subject_log: list[tuple[float, str, int, str, float]] = []
         self._signal_log: list[tuple[float, str, int, str, float]] = []
-        # Per subject approach: its state, its through and left movements,
-        # and the lane-miles of its through lanes and of its pocket.
+        # Per subject approach: its state, its through and left movement
+        # indices, and the lane-miles of its through lanes and of its pocket.
         self._subject_approaches = tuple(
             (
-                st, segments[st.seg_id].movement, segments[st.seg_id].left_movement,
+                st, MOVEMENT_INDEX[seg.movement], MOVEMENT_INDEX[seg.left_movement],
                 st.lane_count * meters_to_miles(st.length),
                 meters_to_miles(st.length - st.pocket_start),
             )
-            for st in (self._states[s] for s in network.incoming(subject))
+            for st, seg in ((self._states[s], segments[s]) for s in network.incoming(subject))
         )
 
         # Demand: explicit schedule or flows expanded per departure mode.
@@ -583,7 +587,7 @@ class Simulation:
         return DECIDE_BY_ALGORITHM[self.algorithm](self._decision_input()).proposed_phase
 
     def _decision_input(self) -> DecisionInput:
-        values: dict[Movement, float] = {}
+        values = [0.0] * len(ALL_MOVEMENTS)  # every slot is set below
         if self.algorithm == "baseline":
             # controllers.approach_density, over lane-miles computed once.
             for st, through, left, through_miles, pocket_miles in self._subject_approaches:
@@ -595,7 +599,7 @@ class Simulation:
                 ledgers = (veh.ledger for lane in st.lanes for veh in lane)
                 values[through] = approach_delays(ledgers, variant)[1]
                 values[left] = approach_delays((veh.ledger for veh in st.pocket), variant)[1]
-        return DecisionInput(values=values, intersection=self._subject_node, time=self.t)
+        return DecisionInput(values=tuple(values), intersection=self._subject_node, time=self.t)
 
     # -- stepping ------------------------------------------------------------
 
@@ -635,7 +639,7 @@ class Simulation:
                 best_lane = None
                 best_rear = -1.0
                 for lane in st.lanes:
-                    rear = lane[-1].position - lane[-1].length if lane else st.length + 1e9
+                    rear = lane[-1].position - params.length if lane else st.length + 1e9
                     if rear > best_rear:
                         best_rear = rear
                         best_lane = lane
@@ -865,7 +869,7 @@ class Simulation:
             best_lane = None
             best_rear = -1e18
             for lane in next_st.lanes:
-                rear = lane[-1].position - lane[-1].length if lane else next_st.length + 1e9
+                rear = lane[-1].position - self.params.length if lane else next_st.length + 1e9
                 if rear > best_rear:
                     best_rear = rear
                     best_lane = lane
@@ -875,15 +879,14 @@ class Simulation:
             if entry_front > limit:
                 entry_front = limit
 
-        # Stopped delay incurred on the approach being left.
-        ledger = veh.ledger
+        # The roll-over carries the stopped delay incurred on the approach
+        # being left; at the subject that is the movement's measurement.
+        ledger = on_approach_transition(veh.ledger)
         if st.signal == _SUBJECT:
-            stopped = ledger.accumulated - ledger.entry_accumulated
-            self._movement_stops[veh.stop_movements[idx]].append((t_out, stopped))
+            self._movement_stops[veh.stop_movements[idx]].append((t_out, ledger.carried_over))
             self._control_delays.append(
                 (t_out, segment_delay(veh.entry_time, t_out, st.length, st.vff))
             )
-        on_approach_transition(ledger)
         if not self.carryover_turns and turn != "straight":
             ledger.carried_over = 0.0
 

@@ -22,7 +22,7 @@ from signaltwin.delay import (
     vehicle_delay_dt2,
 )
 from signaltwin.metrics import aasd, los_from_control_delay, sample_skewness
-from signaltwin.network import Movement, build_grid
+from signaltwin.network import ALL_MOVEMENTS, Movement, build_grid
 from signaltwin.traffic import Flow, SimClock, Simulation, scenario_catalog
 from signaltwin.twin import (
     DemandPhase,
@@ -180,7 +180,7 @@ def test_criterion_3_controller_oracle_equivalence(capsys):
                 values = {
                     m: rng.choice([0.0, round(rng.uniform(0, 60), 3)]) for m in Movement
                 }
-                decision = decide(DecisionInput(values=values))
+                decision = decide(DecisionInput(values=tuple(values[m] for m in ALL_MOVEMENTS)))
                 assert (decision.proposed_phase, decision.winning_movement) == oracle(values)
 
         movements = list(Movement)
@@ -188,7 +188,9 @@ def test_criterion_3_controller_oracle_equivalence(capsys):
             tied = {movements[i] for i in range(8) if mask & (1 << i)}
             values = {m: (7.5 if m in tied else 1.5) for m in Movement}
             for algo in ALGORITHMS:
-                decision = DECIDE_BY_ALGORITHM[algo](DecisionInput(values=values))
+                decision = DECIDE_BY_ALGORITHM[algo](
+                    DecisionInput(values=tuple(values[m] for m in ALL_MOVEMENTS))
+                )
                 assert (decision.proposed_phase, decision.winning_movement) == oracle(values)
 
 

@@ -312,6 +312,7 @@ def test_invalid_flow_exit_2(tmp_path, capsys, flow, field):
                      id="job-horizon-zero"),
         pytest.param({"job_warmup": -10.0}, "job_warmup", id="job-warmup-negative"),
         pytest.param({"job_cooldown": -10.0}, "job_cooldown", id="job-cooldown-negative"),
+        pytest.param({"job_horizon": 600.5}, "twin.job_horizon", id="job-horizon-off-grid"),
     ],
 )
 def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
@@ -349,6 +350,12 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
         pytest.param("simulate", {"horizon": 10**400}, "horizon", id="horizon-beyond-float"),
         pytest.param("simulate", {"horizon": 0, "warmup": 0, "cooldown": 0}, "horizon",
                      id="horizon-zero"),
+        pytest.param("simulate", {"dt": 1.0, "horizon": 120.5, "warmup": 0, "cooldown": 0},
+                     "horizon (120.5s)", id="horizon-off-grid-below"),
+        pytest.param("simulate", {"dt": 1.0, "horizon": 120.9, "warmup": 0, "cooldown": 0},
+                     "horizon (120.9s)", id="horizon-off-grid-above"),
+        pytest.param("simulate", {"dt": 0.5, "warmup": 150.2}, "warmup (150.2s)",
+                     id="warmup-off-grid"),
         pytest.param("simulate", {"carryover_turns": "no"}, "carryover_turns",
                      id="carryover-turns-string"),
         pytest.param("simulate", {"log_trajectory": "false"}, "log_trajectory",

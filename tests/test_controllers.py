@@ -16,7 +16,7 @@ from signaltwin.controllers import (
     validate_algorithm,
 )
 from signaltwin.delay import DelayLedger, average_approach_delay
-from signaltwin.network import Movement
+from signaltwin.network import ALL_MOVEMENTS, Movement
 
 # The pseudocode's if/else chain, restated independently for the oracle.
 CHAIN = (
@@ -38,7 +38,9 @@ def oracle(values):
 
 
 def make_input(values):
-    return DecisionInput(values=values, intersection="x", time=0.0)
+    # The decision input is indexed by movement position; the oracle keeps
+    # its own Movement-keyed values as the independent reference.
+    return DecisionInput(values=tuple(values[m] for m in ALL_MOVEMENTS), intersection="x", time=0.0)
 
 
 def test_approach_density_examples():
@@ -174,15 +176,17 @@ def test_scale_invariance_of_choice(base, scale):
 
 
 def test_decision_input_validation():
-    with pytest.raises(ValueError):
-        DecisionInput(values={Movement.EBT: 1.0})
-    bad = {m: 1.0 for m in Movement}
-    bad[Movement.SBL] = float("nan")
-    with pytest.raises(ValueError):
-        DecisionInput(values=bad)
-    bad[Movement.SBL] = -1.0
-    with pytest.raises(ValueError):
-        DecisionInput(values=bad)
+    with pytest.raises(ValueError, match="tuple of 8 values"):
+        DecisionInput(values=(1.0,))
+    with pytest.raises(ValueError, match="tuple of 8 values"):
+        DecisionInput(values={m: 1.0 for m in Movement})
+    bad = [1.0] * 8
+    bad[ALL_MOVEMENTS.index(Movement.SBL)] = float("nan")
+    with pytest.raises(ValueError, match="SBL"):
+        DecisionInput(values=tuple(bad))
+    bad[ALL_MOVEMENTS.index(Movement.SBL)] = -1.0
+    with pytest.raises(ValueError, match="SBL"):
+        DecisionInput(values=tuple(bad))
 
 
 def test_algorithm_registry():

@@ -24,7 +24,7 @@ from signaltwin.delay import (
     average_approach_delay,
     update_waiting,
 )
-from signaltwin.network import build_grid
+from signaltwin.network import ALL_MOVEMENTS, build_grid
 from signaltwin.signals import ControllerTimer
 from signaltwin.traffic import (
     FIXED_SPLIT,
@@ -95,7 +95,7 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
                     assert 0.0 <= veh.position <= state.length, (veh.vid, veh.position)
                     assert 0.0 <= veh.speed <= state.vff, (veh.vid, veh.speed)
                     if leader is not None:
-                        gap = (leader.position - leader.length) - veh.position
+                        gap = (leader.position - params.length) - veh.position
                         assert gap >= params.min_gap - 1e-9, (veh.vid, gap)
                     # A vehicle inserted in this step starts from a fresh ledger.
                     waiting, acc = last_ledgers.get(veh.vid, (0.0, 0.0))
@@ -153,9 +153,9 @@ def test_decision_values_are_the_observation_functions(lane_count, length, pocke
     for algorithm in ALGORITHMS:
         sim.algorithm = algorithm
         values = sim._decision_input().values
-        assert {m: v.hex() for m, v in values.items()} == {
-            m: v.hex() for m, v in expected[algorithm].items()
-        }, algorithm
+        assert [v.hex() for v in values] == [
+            expected[algorithm][m].hex() for m in ALL_MOVEMENTS
+        ], algorithm
 
 
 @pytest.mark.parametrize("variant", ["dt1", "dt2"])

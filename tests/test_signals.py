@@ -5,8 +5,12 @@ import pytest
 from signaltwin.network import Movement
 from signaltwin.signals import (
     ALL_RED_PHASE,
+    ASPECT_NAMES,
+    ASPECTS_PERMISSIVE,
+    ASPECTS_PROTECTED,
     GREEN_PHASES,
     GREEN_PHASE_FOR_MOVEMENT,
+    MOVEMENT_INDEX,
     PHASE_MOVEMENTS,
     ControllerTimer,
     PhaseChangeRejected,
@@ -50,10 +54,10 @@ def test_unknown_phase_rejected():
 
 
 def test_each_movement_has_exactly_one_green_phase():
-    assert set(GREEN_PHASE_FOR_MOVEMENT) == set(Movement)
-    for movement, green in GREEN_PHASE_FOR_MOVEMENT.items():
+    assert len(GREEN_PHASE_FOR_MOVEMENT) == len(Movement)
+    for movement in Movement:
         serving = [p for p in GREEN_PHASES if phase_for_movement(p, movement) == "G"]
-        assert serving == [green]
+        assert serving == [GREEN_PHASE_FOR_MOVEMENT[MOVEMENT_INDEX[movement]]]
 
 
 def run_timer(timer, n_steps, proposals):
@@ -173,10 +177,22 @@ def test_fractional_dt_keeps_exact_boundaries():
 
 
 def test_permissive_display_follows_parallel_through():
-    timer = ControllerTimer(dt=1.0)  # phase 0: NS through green
-    assert timer.display(Movement.NBL, permissive_lefts=True) == "G"
-    assert timer.display(Movement.NBL, permissive_lefts=False) == "R"
-    assert timer.display(Movement.EBL, permissive_lefts=True) == "R"
+    def shown(table, phase, movement):
+        return ASPECT_NAMES[table[phase][MOVEMENT_INDEX[movement]]]
+
+    # Phase 0: NS through green.
+    assert shown(ASPECTS_PERMISSIVE, 0, Movement.NBL) == "G"
+    assert shown(ASPECTS_PROTECTED, 0, Movement.NBL) == "R"
+    assert shown(ASPECTS_PERMISSIVE, 0, Movement.EBL) == "R"
+    # In every phase a left movement shows its through movement's
+    # protected aspect, and a through movement shows its own.
+    assert len(ASPECTS_PERMISSIVE) == ALL_RED_PHASE + 1
+    for phase in range(ALL_RED_PHASE + 1):
+        for movement in Movement:
+            followed = Movement(movement.value[0] + "BT")
+            assert shown(ASPECTS_PERMISSIVE, phase, movement) == phase_for_movement(
+                phase, followed
+            ), (phase, movement)
 
 
 def test_timer_validates_configuration():

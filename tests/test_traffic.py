@@ -209,7 +209,7 @@ def test_no_collisions_under_congestion(grid3):
                 lanes.append(state.pocket)
             for lane in lanes:
                 for leader, follower in zip(lane, lane[1:]):
-                    gap = (leader.position - leader.length) - follower.position
+                    gap = (leader.position - params.length) - follower.position
                     assert gap >= params.min_gap - 1e-9
 
 
@@ -460,7 +460,7 @@ class _InsertEveryStep(Simulation):
                 best_lane = None
                 best_rear = -1.0
                 for lane in st.lanes:
-                    rear = lane[-1].position - lane[-1].length if lane else st.length + 1e9
+                    rear = lane[-1].position - params.length if lane else st.length + 1e9
                     if rear > best_rear:
                         best_rear = rear
                         best_lane = lane
