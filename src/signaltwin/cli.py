@@ -13,6 +13,7 @@ import argparse
 import inspect
 import itertools
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -23,6 +24,7 @@ from . import metrics
 from .checks import ConfigError, _checked, _is_number, _typed
 from .controllers import ALGORITHMS, validate_algorithm
 from .network import Network, build_grid, load_network, save_network
+from .signals import _exact_steps
 from .traffic import (
     DEPARTURE_MODES,
     Flow,
@@ -134,10 +136,22 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
     program_spec = twin.pop("demand_program", None)
     with _config_errors("twin."):
         settings = TwinSettings(**_checked(twin, TwinSettings, "twin"))
-    # Each job runs on this clock.  TwinSettings has checked the rest, so
-    # only a time off the step grid fails here, named by its field.
+    # Each job runs on this clock, and the live run is evaluated once per
+    # period.  TwinSettings has checked the rest, so only a time off the
+    # step grid fails here, named by its field.
     with _config_errors("twin.job_"):
         SimClock(clock.dt, settings.job_horizon, settings.job_warmup, settings.job_cooldown)
+    with _config_errors("twin."):
+        _exact_steps(settings.period, clock.dt, "period")
+    # A measured rate is at most lane_count insertions per step at its
+    # origin, so this bounds the vph of every candidate demand.
+    top = max(settings.factors)
+    lanes = max(seg.lane_count for seg in network.segments.values())
+    if not math.isfinite(top * lanes * 3600.0 / clock.dt):
+        raise ConfigError(
+            f"twin.factors: {top} x {lanes} lanes x 3600 / dt ({clock.dt}s), "
+            "the bound on a candidate's vph, is not finite"
+        )
     with _config_errors("twin.initial_algorithm: "):
         validate_algorithm(settings.initial_algorithm)
     program = _resolve_demand_program(config, network, program_spec)
@@ -283,8 +297,9 @@ def _write_run_artifacts(
     save_network(network, out_dir / "network.json")
     with open(out_dir / "departures.csv", "w", newline="") as fh:
         fh.write(DEPARTURES_HEADER)
-        for vid, time, origin, destination, route in sim.departure_schedule:
-            fh.write(f"{vid},{time!r},{origin},{destination},{'|'.join(route)}\n")
+        for veh in sim.departure_schedule:
+            route = veh.route
+            fh.write(f"{veh.vid},{veh.depart_time!r},{route[0]},{route[-1]},{'|'.join(route)}\n")
     with open(out_dir / "signals.csv", "w", newline="") as fh:
         fh.write(SIGNALS_HEADER)
         for t, node, phase, stage, green in sim.signal_log:
@@ -388,12 +403,13 @@ def cmd_report(config: RunConfig) -> int:
     dt = _run_json(config_path).get("dt")
     if not (_is_number(dt) and dt > 0.0):
         raise ConfigError(f"{config_path}: field 'dt' must be a positive number, got {dt!r}")
+    block: list = [2, []]  # the first line number and the rows of the block being read
     try:
         control, movement_delays = metrics.recompute_from_trajectory(
-            _trajectory_rows(traj_path), network, window, float(dt)
+            _trajectory_rows(traj_path, block), network, window, float(dt)
         )
     except metrics.TrajectoryRowError as exc:
-        line = _line_of(traj_path, exc.row)
+        line = _line_number(traj_path, block, exc.row)
         raise ConfigError(f"{traj_path} line {line}: {exc}") from None
     mean, grade = metrics.control_delay_summary(control)
     report = {
@@ -421,19 +437,23 @@ def _run_json(path: Path) -> dict:
     return data
 
 
-def _trajectory_rows(path: Path) -> Iterator[list[str]]:
+def _trajectory_rows(path: Path, block: list | None = None) -> Iterator[list[str]]:
     """The data rows of a trajectory log as split, unconverted fields.
 
     Checks the header and each row's column count; the last field keeps
     its line break, which ``float`` ignores.  Rows are split a block of
     lines at a time; 8 KiB blocks (about 150 rows) keep each block's lists
     below the garbage collector's youngest-generation threshold, which
-    measured faster than both per-line splitting and 64 KiB blocks.
+    measured faster than both per-line splitting and 64 KiB blocks.  The
+    reader keeps the first line number and the rows of the block being
+    read in ``block``, if given.
     """
-    return itertools.chain.from_iterable(_trajectory_blocks(path))
+    if block is None:
+        block = [2, []]
+    return itertools.chain.from_iterable(_trajectory_blocks(path, block))
 
 
-def _trajectory_blocks(path: Path) -> Iterator[list[list[str]]]:
+def _trajectory_blocks(path: Path, block: list) -> Iterator[list[list[str]]]:
     columns = TRAJECTORY_HEADER.strip().split(",")
     with open(path, newline="") as fh:
         header = fh.readline()
@@ -451,17 +471,25 @@ def _trajectory_blocks(path: Path) -> Iterator[list[list[str]]]:
                     f"{path} line {lineno + bad}: expected {len(columns)} columns "
                     f"({','.join(columns)}), got {len(rows[bad])}"
                 )
+            block[:] = lineno, rows
             yield rows
             lineno += len(rows)
 
 
-def _line_of(path: Path, row: Sequence) -> int | None:
-    """Line number of the first line of ``path`` that splits into ``row``."""
+def _line_number(path: Path, block: list, row: Sequence) -> int:
+    """The line of ``row``, which the reader handed out while ``block`` was
+    the block being read."""
+    first, rows = block
+    index = next((i for i, r in enumerate(rows) if r is row), None)
+    if index is not None:
+        return first + index
+    # Only a vehicle's previous row comes from an earlier block: its
+    # accumulated_waiting is read when the vehicle changes segment.  No row
+    # of that vehicle lies between the two, so it is the last line before
+    # this block that splits into it.
     with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.split(",") == row:
-                return lineno
-    return None
+        lines = itertools.islice(fh, first - 1)
+        return max(n for n, line in enumerate(lines, 1) if line.split(",") == row)
 
 
 def read_trajectory(path: str | Path) -> list[tuple[float, str, str, float, float, float, float]]:

@@ -224,11 +224,6 @@ class Network:
             raise UnknownIdError(node_id)
         return list(self._incoming[node_id])
 
-    def outgoing(self, node_id: str) -> list[str]:
-        if node_id not in self._outgoing:
-            raise UnknownIdError(node_id)
-        return list(self._outgoing[node_id])
-
     def approaches(self, node_id: str) -> dict[Movement, ApproachRef]:
         """The logical approaches at an intersection, keyed by movement.
 
@@ -448,12 +443,6 @@ def upstream_approach(network: Network, approach: str) -> str | None:
     if seg.from_node in network.boundary_nodes:
         return None
     return network._same_direction_in(seg.from_node, seg.movement.direction)
-
-
-def downstream_approach(network: Network, approach: str) -> str | None:
-    """The same-direction continuation past this approach's intersection."""
-    seg = network.segment(approach)
-    return network._same_direction_out(seg.to_node, seg.movement.direction)
 
 
 # -- serialization --------------------------------------------------------

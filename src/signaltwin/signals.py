@@ -9,6 +9,7 @@ cadence once the green has run strictly longer than the 5 s minimum.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .network import ALL_MOVEMENTS, Movement
@@ -155,7 +156,10 @@ class ControllerTimer:
 
 
 def _exact_steps(duration: float, dt: float, name: str) -> int:
-    steps = round(duration / dt)
+    quotient = duration / dt
+    if not math.isfinite(quotient):
+        raise ValueError(f"{name} ({duration}s) over dt ({dt}s) is not a finite number of steps")
+    steps = round(quotient)
     if steps <= 0 or abs(steps * dt - duration) > 1e-9:
         raise ValueError(f"{name} ({duration}s) must be a positive multiple of dt ({dt}s)")
     return steps

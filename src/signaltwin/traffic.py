@@ -312,11 +312,18 @@ def scenario_catalog(
 
 
 class Vehicle:
-    """Mutable per-vehicle state; lives inside exactly one lane list."""
+    """Mutable per-vehicle state.
+
+    A vehicle exists from the start of the run: it waits in its origin's
+    pending queue until inserted, then lives inside exactly one lane list.
+    Insertion sets ``entry_time`` and caps ``speed`` (the departure speed
+    until then) at the origin's free-flow speed.
+    """
 
     __slots__ = (
         "vid", "route", "route_index", "position", "speed",
         "ledger", "entry_time", "turns", "stop_movements", "moved_step",
+        "depart_time", "flow_index",
     )
 
     def __init__(
@@ -326,8 +333,9 @@ class Vehicle:
         turns: tuple[str, ...],
         stop_movements: tuple[int, ...],
         params: VehicleParams,
-        entry_time: float,
+        depart_time: float,
         depart_speed: float,
+        flow_index: int = 0,
     ) -> None:
         self.vid = vid
         self.route = route
@@ -335,10 +343,11 @@ class Vehicle:
         self.position = params.length
         self.speed = depart_speed
         self.ledger = DelayLedger()
-        self.entry_time = entry_time
+        self.entry_time = self.depart_time = depart_time
         self.turns = turns
         self.stop_movements = stop_movements
         self.moved_step = -1
+        self.flow_index = flow_index
 
 
 class _SegmentState:
@@ -410,16 +419,6 @@ class SimulationResult:
         }
 
 
-class _PendingVehicle(NamedTuple):
-    depart_time: float
-    flow_index: int
-    vid: str
-    route: tuple[str, ...]
-    depart_speed: float
-    turns: tuple[str, ...]
-    stop_movements: tuple[int, ...]
-
-
 class Simulation:
     """One deterministic microsimulation run on an immutable network.
 
@@ -476,17 +475,16 @@ class Simulation:
         # plan; every other intersection runs the same fixed-time two-phase
         # plan with permissive lefts from the same start, which one table
         # holds.  Nodes are logged in sorted order.
-        nodes = sorted(network.nodes)
-        at = nodes.index(subject)
-        self._fixed_before, self._fixed_after = nodes[:at], nodes[at + 1:]
+        self._signal_nodes = sorted(network.nodes)
         self._subject_timer = ControllerTimer(self.dt)
         self._plan = fixed_plan(self.dt)
         self._subject_node = subject
         # The aspect row shown this step, indexed by MOVEMENT_INDEX, per
         # _SegmentState.signal: none, the subject's, the fixed plan's.
         self._aspect_rows: list[tuple[int, ...] | None] = [None, None, None]
-        # The subject's signal-log row of each step; signal_log adds the rest.
-        self._subject_log: list[tuple[float, str, int, str, float]] = []
+        # The subject's (phase, stage, green_elapsed) of each step, the shape
+        # of a fixed-plan row; signal_log adds the time, the node and the rest.
+        self._subject_log: list[tuple[int, str, float]] = []
         self._signal_log: list[tuple[float, str, int, str, float]] = []
         # Per subject approach: its state, its through and left movement
         # indices, and the lane-miles of its through lanes and of its pocket.
@@ -507,27 +505,36 @@ class Simulation:
             raise ValueError("pass either flows or an explicit schedule, not both")
         rows = sorted(schedule, key=lambda r: (r[0], r[1]))
 
-        self._route_meta: dict[tuple[str, str], tuple] = {}
-        self._pending: dict[str, list[_PendingVehicle]] = {}
-        self.departure_schedule: list[tuple[str, float, str, str, tuple[str, ...]]] = []
+        # Per OD pair: the route, the turn after each of its segments and
+        # the movement index each segment's stop line shows the vehicle.
+        plans: dict[tuple[str, str], tuple] = {}
+        for origin, destination in dict.fromkeys((r[2], r[3]) for r in rows):
+            route = shortest_path(network, origin, destination)
+            directions = [segments[s].movement.direction for s in route]
+            turns = (*map(turn_of, directions, directions[1:]), "exit")
+            plans[origin, destination] = (route, turns, tuple(
+                MOVEMENT_INDEX[left_movement(d) if turn == "left" else through_movement(d)]
+                for d, turn in zip(directions, turns)
+            ))
+        # Every departure is its Vehicle, in departure order; each origin's
+        # pending queue holds the same objects, earliest departure last.
+        self.departure_schedule: list[Vehicle] = []
+        self._pending: dict[str, list[Vehicle]] = {}
         counters: dict[int, int] = {}
-        n_flows = 0
         for time, idx, origin, destination, depart_speed in rows:
-            n_flows = max(n_flows, idx + 1)
             n = counters.get(idx, 0)
             counters[idx] = n + 1
-            vid = f"f{idx}.{n}"
-            route, turns, stop_movements = self._route_for(origin, destination)
-            self.departure_schedule.append((vid, time, origin, destination, route))
             # + 0.0 turns a -0.0 departure speed into 0.0 (see _log_trajectory).
-            self._pending.setdefault(origin, []).append(
-                _PendingVehicle(time, idx, vid, route, depart_speed + 0.0, turns, stop_movements)
-            )
+            veh = Vehicle(f"f{idx}.{n}", *plans[origin, destination], self.params, time,
+                          depart_speed + 0.0, idx)
+            self.departure_schedule.append(veh)
+            self._pending.setdefault(origin, []).append(veh)
         for queue in self._pending.values():
             queue.reverse()  # pop from the end = earliest departure first
-        self._pending_count = sum(len(q) for q in self._pending.values())
+        self._pending_count = len(rows)
         self._next_due = self._earliest_departure()
-        self.flow_insertions: list[list[float]] = [[] for _ in range(max(n_flows, len(self.flows)))]
+        n_flows = max(max(counters, default=-1) + 1, len(self.flows))
+        self.flow_insertions: list[list[float]] = [[] for _ in range(n_flows)]
 
         # Counters and measurement records.
         self.inserted = 0
@@ -538,31 +545,6 @@ class Simulation:
         self._movement_stops: list[list[tuple[float, float]]] = [[] for _ in ALL_MOVEMENTS]
         self.swap_events: list[dict] = []
         self._pending_algorithm: tuple[str, str] | None = None
-
-    # -- demand plumbing ---------------------------------------------------
-
-    def _route_for(self, origin: str, destination: str) -> tuple:
-        key = (origin, destination)
-        meta = self._route_meta.get(key)
-        if meta is None:
-            route = shortest_path(self.network, origin, destination)
-            turns = []
-            stop_movements = []
-            for i, seg_id in enumerate(route):
-                direction = self.network.segments[seg_id].movement.direction
-                if i + 1 < len(route):
-                    nxt = self.network.segments[route[i + 1]].movement.direction
-                    turn = turn_of(direction, nxt)
-                else:
-                    turn = "exit"
-                turns.append(turn)
-                if turn == "left":
-                    stop_movements.append(MOVEMENT_INDEX[left_movement(direction)])
-                else:
-                    stop_movements.append(MOVEMENT_INDEX[through_movement(direction)])
-            meta = (route, tuple(turns), tuple(stop_movements))
-            self._route_meta[key] = meta
-        return meta
 
     # -- adaptive control ----------------------------------------------------
 
@@ -619,7 +601,7 @@ class Simulation:
         inserted = self._insert_departures(t)
         if self._traj_sink is not None:
             self._log_trajectory(t)
-        self._tick_signals(k, t)
+        self._tick_signals(k)
         arrived = self._advance_vehicles(t)
         self._step_index = k + 1
         self.t = (k + 1) * self.dt
@@ -645,23 +627,16 @@ class Simulation:
                         best_lane = lane
                 if best_rear < min_entry:
                     break  # blocked; retry next step, keep flow order
-                pend = queue.pop()
-                veh = Vehicle(
-                    vid=pend.vid,
-                    route=pend.route,
-                    turns=pend.turns,
-                    stop_movements=pend.stop_movements,
-                    params=params,
-                    entry_time=t,
-                    depart_speed=min(pend.depart_speed, st.vff),
-                )
+                veh = queue.pop()
+                veh.entry_time = t
+                veh.speed = min(veh.speed, st.vff)
                 best_lane.append(veh)
                 self._occupied.add(st.index)
                 self.inserted += 1
                 self._pending_count -= 1
-                self._depart_delay_sum += t - pend.depart_time
-                self.flow_insertions[pend.flow_index].append(t)
-                inserted.append(pend.vid)
+                self._depart_delay_sum += t - veh.depart_time
+                self.flow_insertions[veh.flow_index].append(t)
+                inserted.append(veh.vid)
         if inserted:
             self._next_due = self._earliest_departure()
         return inserted
@@ -677,10 +652,10 @@ class Simulation:
 
     # -- signals ---------------------------------------------------------------
 
-    def _tick_signals(self, k: int, t: float) -> None:
+    def _tick_signals(self, k: int) -> None:
         timer = self._subject_timer
         phase = timer.tick(k, self._subject_decision)
-        self._subject_log.append((t, self._subject_node, phase, timer.stage, timer.green_elapsed))
+        self._subject_log.append((phase, timer.stage, timer.green_elapsed))
         rows = self._aspect_rows
         rows[_SUBJECT] = ASPECTS_PROTECTED[phase]
         plan = self._plan
@@ -696,16 +671,13 @@ class Simulation:
         read.  The same list is returned on every read, extended by the
         steps run since the last one; do not modify it.
         """
-        log = self._signal_log
-        plan, before, after = self._plan, self._fixed_before, self._fixed_after
-        subject_log = self._subject_log
-        for k in range(len(log) // (len(before) + 1 + len(after)), len(subject_log)):
-            row = subject_log[k]
-            t = row[0]
+        log, nodes, plan = self._signal_log, self._signal_nodes, self._plan
+        subject = self._subject_node
+        start = len(log) // len(nodes)
+        for k, own in enumerate(self._subject_log[start:], start):
             fixed = plan.rows[plan.index(k)]
-            log += [(t, node, *fixed) for node in before]
-            log.append(row)
-            log += [(t, node, *fixed) for node in after]
+            t = k * self.dt
+            log += [(t, node, *(own if node == subject else fixed)) for node in nodes]
         return log
 
     # -- vehicle dynamics --------------------------------------------------------

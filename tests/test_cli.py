@@ -313,6 +313,8 @@ def test_invalid_flow_exit_2(tmp_path, capsys, flow, field):
         pytest.param({"job_warmup": -10.0}, "job_warmup", id="job-warmup-negative"),
         pytest.param({"job_cooldown": -10.0}, "job_cooldown", id="job-cooldown-negative"),
         pytest.param({"job_horizon": 600.5}, "twin.job_horizon", id="job-horizon-off-grid"),
+        pytest.param({"period": 0.3}, "twin.period", id="period-off-grid"),
+        pytest.param({"factors": [1e308]}, "twin.factors", id="factor-bound-not-finite"),
     ],
 )
 def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
@@ -348,6 +350,8 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
         pytest.param("simulate", {"seed": True}, "seed", id="seed-bool"),
         pytest.param("simulate", {"horizon": "900"}, "horizon", id="horizon-string"),
         pytest.param("simulate", {"horizon": 10**400}, "horizon", id="horizon-beyond-float"),
+        pytest.param("simulate", {"horizon": 1e308, "dt": 0.5, "warmup": 0, "cooldown": 0},
+                     "horizon", id="horizon-steps-beyond-float"),
         pytest.param("simulate", {"horizon": 0, "warmup": 0, "cooldown": 0}, "horizon",
                      id="horizon-zero"),
         pytest.param("simulate", {"dt": 1.0, "horizon": 120.5, "warmup": 0, "cooldown": 0},

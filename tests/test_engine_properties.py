@@ -69,7 +69,7 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
     # with its departure speed capped by vff and a fresh ledger.
     for queue in sim._pending.values():
         for pending in queue:
-            assert math.copysign(1.0, pending.depart_speed) > 0, pending.vid
+            assert math.copysign(1.0, pending.speed) > 0, pending.vid
     # Vehicle id -> (waiting, accumulated) after the previous step.
     last_ledgers: dict[str, tuple[float, float]] = {}
     # A standalone timer running the fixed two-phase plan.

@@ -190,6 +190,30 @@ def test_report_rejects_non_numeric_accumulated(good_run, tmp_path, capsys):
     assert f"line {target + 2}" in err and "accumulated_waiting 'lots" in err
 
 
+def test_report_names_the_line_of_a_previous_row_blocks_back(good_run, tmp_path, capsys):
+    # The bad row is read only when its vehicle's next row comes, here
+    # 400 rows (several 8 KiB read blocks) later: copies of a row of
+    # another vehicle in the same step, which change nothing.
+    rows = [line.split(",") for line in (good_run / "trajectory.csv").read_text().splitlines()[1:]]
+    vid, seg_id = rows[0][1], rows[0][2]
+    target = max(i for i, row in enumerate(rows) if row[1] == vid and row[2] == seg_id)
+    filler = next(i for i, row in enumerate(rows) if row[0] == rows[target][0] and row[1] != vid)
+
+    def corrupt(lines):
+        lines[target + 1] = replace_field(lines[target + 1], 6, "lots")
+        return lines[:target + 2] + [lines[filler + 1]] * 400 + lines[target + 2:]
+
+    err = report_error(broken_copy(good_run, tmp_path, corrupt), capsys)
+    assert f"line {target + 2}:" in err and "accumulated_waiting 'lots" in err
+
+
+def test_report_names_the_line_of_a_repeated_row(good_run, tmp_path, capsys):
+    # A copy of line 5 appended at the end is out of order at its own line.
+    err = report_error(broken_copy(good_run, tmp_path, lambda lines: lines + [lines[4]]), capsys)
+    n_lines = len((good_run / "trajectory.csv").read_text().splitlines())
+    assert f"line {n_lines + 1}:" in err and "earlier than" in err
+
+
 def test_report_rejects_unknown_segment(good_run, tmp_path, capsys):
     def corrupt(lines):
         lines[3] = replace_field(lines[3], 2, "nowhere:n9-9")

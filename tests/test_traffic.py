@@ -242,8 +242,9 @@ def test_trajectory_writer_matches_per_row_repr(grid3, monkeypatch, memo_limit):
     reference, steps_with_rows = [], [0]
     tick = Simulation._tick_signals
 
-    def record_then_tick(self, k, t):
+    def record_then_tick(self, k):
         # Called right after the step's rows are logged.
+        t = k * self.dt
         rows = [
             f"{t!r},{veh.vid},{veh.route[veh.route_index]},{veh.position!r},{veh.speed!r},"
             f"{veh.ledger.waiting!r},{veh.ledger.accumulated!r}\n"
@@ -251,7 +252,7 @@ def test_trajectory_writer_matches_per_row_repr(grid3, monkeypatch, memo_limit):
         ]
         reference.extend(rows)
         steps_with_rows[0] += bool(rows)
-        return tick(self, k, t)
+        return tick(self, k)
 
     monkeypatch.setattr(Simulation, "_tick_signals", record_then_tick)
     pairs = [(o, d) for o in grid3.peripheral_entries() for d in grid3.peripheral_exits()]
@@ -466,19 +467,16 @@ class _InsertEveryStep(Simulation):
                         best_lane = lane
                 if best_rear < min_entry:
                     break
-                pend = queue.pop()
-                veh = traffic.Vehicle(
-                    vid=pend.vid, route=pend.route, turns=pend.turns,
-                    stop_movements=pend.stop_movements, params=params, entry_time=t,
-                    depart_speed=min(pend.depart_speed, st.vff),
-                )
+                veh = queue.pop()
+                veh.entry_time = t
+                veh.speed = min(veh.speed, st.vff)
                 best_lane.append(veh)
                 self._occupied.add(st.index)
                 self.inserted += 1
                 self._pending_count -= 1
-                self._depart_delay_sum += t - pend.depart_time
-                self.flow_insertions[pend.flow_index].append(t)
-                inserted.append(pend.vid)
+                self._depart_delay_sum += t - veh.depart_time
+                self.flow_insertions[veh.flow_index].append(t)
+                inserted.append(veh.vid)
         return inserted
 
 
