@@ -13,7 +13,6 @@ import argparse
 import inspect
 import itertools
 import json
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -24,7 +23,6 @@ from . import metrics
 from .checks import ConfigError, _checked, _is_number, _typed
 from .controllers import ALGORITHMS, validate_algorithm
 from .network import Network, build_grid, load_network, save_network
-from .signals import _exact_steps
 from .traffic import (
     DEPARTURE_MODES,
     Flow,
@@ -34,7 +32,7 @@ from .traffic import (
     VehicleParams,
     scenario_catalog,
 )
-from .twin import DemandPhase, TwinSettings, check_demand_program, live_loop
+from .twin import DemandPhase, TwinSettings, check_demand_program, check_settings, live_loop
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -136,24 +134,7 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
     program_spec = twin.pop("demand_program", None)
     with _config_errors("twin."):
         settings = TwinSettings(**_checked(twin, TwinSettings, "twin"))
-    # Each job runs on this clock, and the live run is evaluated once per
-    # period.  TwinSettings has checked the rest, so only a time off the
-    # step grid fails here, named by its field.
-    with _config_errors("twin.job_"):
-        SimClock(clock.dt, settings.job_horizon, settings.job_warmup, settings.job_cooldown)
-    with _config_errors("twin."):
-        _exact_steps(settings.period, clock.dt, "period")
-    # A measured rate is at most lane_count insertions per step at its
-    # origin, so this bounds the vph of every candidate demand.
-    top = max(settings.factors)
-    lanes = max(seg.lane_count for seg in network.segments.values())
-    if not math.isfinite(top * lanes * 3600.0 / clock.dt):
-        raise ConfigError(
-            f"twin.factors: {top} x {lanes} lanes x 3600 / dt ({clock.dt}s), "
-            "the bound on a candidate's vph, is not finite"
-        )
-    with _config_errors("twin.initial_algorithm: "):
-        validate_algorithm(settings.initial_algorithm)
+        check_settings(settings, clock, network)
     program = _resolve_demand_program(config, network, program_spec)
     return _Resolved(config, network, clock, vehicle, program=program, settings=settings)
 

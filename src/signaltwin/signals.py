@@ -160,6 +160,9 @@ def _exact_steps(duration: float, dt: float, name: str) -> int:
     if not math.isfinite(quotient):
         raise ValueError(f"{name} ({duration}s) over dt ({dt}s) is not a finite number of steps")
     steps = round(quotient)
+    # Past 2**53 steps, k * dt and round(duration / dt) are no longer exact.
+    if steps > 2**53:
+        raise ValueError(f"{name} ({duration}s) over dt ({dt}s) is more than 2**53 steps")
     if steps <= 0 or abs(steps * dt - duration) > 1e-9:
         raise ValueError(f"{name} ({duration}s) must be a positive multiple of dt ({dt}s)")
     return steps

@@ -377,12 +377,6 @@ class _SegmentState:
         return sum(len(lane) for lane in self.sweep)
 
 
-class StepEvents(NamedTuple):
-    inserted: list[str]
-    arrived: list[str]
-    pending: int
-
-
 @dataclass
 class SimulationResult:
     """Aggregated outcome of one simulation job."""
@@ -594,37 +588,30 @@ class Simulation:
         while self._step_index < n_until:
             self.step()
 
-    def step(self) -> StepEvents:
+    def step(self) -> None:
         k = self._step_index
         t = k * self.dt
         self.t = t
-        inserted = self._insert_departures(t)
+        self._insert_departures(t)
         if self._traj_sink is not None:
             self._log_trajectory(t)
         self._tick_signals(k)
-        arrived = self._advance_vehicles(t)
+        self._advance_vehicles(t)
         self._step_index = k + 1
         self.t = (k + 1) * self.dt
-        return StepEvents(inserted, arrived, self._pending_count)
 
     # -- insertion -----------------------------------------------------------
 
-    def _insert_departures(self, t: float) -> list[str]:
-        inserted: list[str] = []
+    def _insert_departures(self, t: float) -> None:
         if t + 1e-9 < self._next_due:
-            return inserted  # no origin has a departure due
+            return  # no origin has a departure due
         params = self.params
         min_entry = params.length + params.min_gap
+        inserted_before = self.inserted
         for origin, queue in self._pending.items():
             st = self._states[origin]
             while queue and queue[-1].depart_time <= t + 1e-9:
-                best_lane = None
-                best_rear = -1.0
-                for lane in st.lanes:
-                    rear = lane[-1].position - params.length if lane else st.length + 1e9
-                    if rear > best_rear:
-                        best_rear = rear
-                        best_lane = lane
+                best_rear, best_lane = self._roomiest_lane(st)
                 if best_rear < min_entry:
                     break  # blocked; retry next step, keep flow order
                 veh = queue.pop()
@@ -636,10 +623,20 @@ class Simulation:
                 self._pending_count -= 1
                 self._depart_delay_sum += t - veh.depart_time
                 self.flow_insertions[veh.flow_index].append(t)
-                inserted.append(veh.vid)
-        if inserted:
+        if self.inserted != inserted_before:
             self._next_due = self._earliest_departure()
-        return inserted
+
+    def _roomiest_lane(self, st: _SegmentState) -> tuple[float, list[Vehicle] | None]:
+        """The rear of the last vehicle in the lane of ``st`` where it lies
+        furthest along, and that lane; an empty lane counts as a rear at
+        ``st.length + 1e9``.  The first such lane wins a tie."""
+        veh_len = self.params.length
+        best_rear, best_lane = -math.inf, None
+        for lane in st.lanes:
+            rear = lane[-1].position - veh_len if lane else st.length + 1e9
+            if rear > best_rear:
+                best_rear, best_lane = rear, lane
+        return best_rear, best_lane
 
     def _earliest_departure(self) -> float:
         """The earliest departure time still pending; inf if none is.
@@ -682,7 +679,7 @@ class Simulation:
 
     # -- vehicle dynamics --------------------------------------------------------
 
-    def _advance_vehicles(self, t: float) -> list[str]:
+    def _advance_vehicles(self, t: float) -> None:
         """One Gauss-Seidel sweep: each follower reads its leader's new state.
 
         Only segments occupied when the sweep starts are visited, in
@@ -696,7 +693,6 @@ class Simulation:
         products are computed once here; each equals the per-vehicle one
         bit for bit.
         """
-        arrived: list[str] = []
         k = self._step_index
         dt = self.dt
         t_out = t + dt
@@ -787,7 +783,7 @@ class Simulation:
                     new_pos = old_pos + v * dt
 
                     if may_cross and new_pos >= seg_len - 1e-9:
-                        if cross(veh, st, new_pos - seg_len, v, t_out, arrived):
+                        if cross(veh, st, new_pos - seg_len, v, t_out):
                             lane.pop(i)
                             n -= 1
                             left = True
@@ -820,7 +816,6 @@ class Simulation:
                     i += 1
             if left and not any(sweep):
                 occupied.discard(index)
-        return arrived
 
     def _cross(
         self,
@@ -829,7 +824,6 @@ class Simulation:
         overflow: float,
         v: float,
         t_out: float,
-        arrived: list[str],
     ) -> bool:
         """Move a vehicle past the end of its segment; False if blocked."""
         idx = veh.route_index
@@ -838,13 +832,7 @@ class Simulation:
 
         if turn != "exit":
             next_st = self._states[veh.route[idx + 1]]
-            best_lane = None
-            best_rear = -1e18
-            for lane in next_st.lanes:
-                rear = lane[-1].position - self.params.length if lane else next_st.length + 1e9
-                if rear > best_rear:
-                    best_rear = rear
-                    best_lane = lane
+            best_rear, best_lane = self._roomiest_lane(next_st)
             limit = best_rear - self.params.min_gap
             if limit < 0.0:
                 return False
@@ -864,7 +852,6 @@ class Simulation:
 
         if turn == "exit":
             self.exited += 1
-            arrived.append(veh.vid)
             return True
 
         veh.route_index = idx + 1

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .controllers import ALGORITHMS
+from .controllers import ALGORITHMS, validate_algorithm
 from .metrics import los_from_control_delay
 from .network import Network
+from .signals import _exact_steps
 from .traffic import (
     DEPARTURE_MODES,
     DepartureRow,
@@ -78,10 +79,7 @@ class SimulationJob:
     flows: tuple[Flow, ...]
     algorithm: str
     seed: int
-    horizon: float
-    warmup: float
-    cooldown: float = 0.0
-    dt: float = 1.0
+    clock: SimClock
     candidate_index: int | None = None
 
 
@@ -137,6 +135,35 @@ class TwinSettings:
                 f"job_warmup ({self.job_warmup}) + job_cooldown ({self.job_cooldown}) "
                 f"must not exceed job_horizon ({self.job_horizon})"
             )
+        try:
+            validate_algorithm(self.initial_algorithm)
+        except ValueError as exc:
+            raise ValueError(f"initial_algorithm: {exc}") from None
+
+
+def check_settings(settings: TwinSettings, clock: SimClock, network: Network) -> SimClock:
+    """The clock of every job, at the live ``clock``'s step.  Raises
+    ValueError, naming the field, if a job time or ``period`` is off the
+    step grid or the bound on a candidate's vph is not finite."""
+    # TwinSettings has checked the signs and the order of the job times, so
+    # only a time off the step grid fails here, in a message led by its field.
+    try:
+        job_clock = SimClock(
+            clock.dt, settings.job_horizon, settings.job_warmup, settings.job_cooldown
+        )
+    except ValueError as exc:
+        raise ValueError(f"job_{exc}") from None
+    _exact_steps(settings.period, clock.dt, "period")
+    # A measured rate is at most lane_count insertions per step at its
+    # origin, so this bounds the vph of every candidate demand.
+    top = max(settings.factors)
+    lanes = max(seg.lane_count for seg in network.segments.values())
+    if not math.isfinite(top * lanes * 3600.0 / clock.dt):
+        raise ValueError(
+            f"factors: {top} x {lanes} lanes x 3600 / dt ({clock.dt}s), "
+            "the bound on a candidate's vph, is not finite"
+        )
+    return job_clock
 
 
 def forecast_demands(
@@ -178,12 +205,7 @@ def _execute_job(
             flows=job.flows,
             algorithm=job.algorithm,
             seed=job.seed,
-            clock=SimClock(
-                dt=job.dt,
-                horizon=job.horizon,
-                warmup=job.warmup,
-                cooldown=job.cooldown,
-            ),
+            clock=job.clock,
             vehicle=vehicle,
             carryover_turns=carryover_turns,
         )
@@ -193,7 +215,7 @@ def _execute_job(
             algorithm=job.algorithm,
             seed=job.seed,
             scenario_id=None,
-            window=(job.warmup, job.horizon - job.cooldown),
+            window=job.clock.window,
             error=f"{type(exc).__name__}: {exc}",
         )
 
@@ -337,9 +359,11 @@ def live_loop(
     the live run's aggregated result, and the live simulation itself.
     ``trajectory_sink`` receives the live run's trajectory as
     ``Simulation`` hands it over: one string per step, holding that step's
-    rows, each ending in ``\\n``.
+    rows, each ending in ``\\n``.  Raises ValueError, naming the field,
+    before anything runs if ``check_settings`` refuses the settings.
     """
     clock = clock or SimClock()
+    job_clock = check_settings(settings, clock, network)
     schedule = build_live_schedule(
         demand_program, clock.horizon, seed, settings.departure_mode
     )
@@ -363,10 +387,11 @@ def live_loop(
     current_token = settings.initial_algorithm
     period_records: list[dict] = []
 
-    # One pool serves every period.  It starts at the first period, after
-    # the live simulation's first step, and is shut down when the loop
-    # ends or raises.
-    with ExitStack() as stack:
+    # One pool serves every period and is shut down when the loop ends or
+    # raises.  It is opened once the live run has reached the first period,
+    # so that the live run's set-up does not include loading it.
+    sim.run_until(settings.period)
+    with worker_pool(settings.parallelism, len(settings.factors) * len(ALGORITHMS)) as pool:
         for p, t_eval in enumerate(eval_times):
             sim.run_until(t_eval)
             estimate = estimate_demand(sim.flow_insertions, t_eval, settings.estimate_window)
@@ -383,15 +408,10 @@ def live_loop(
                             flows=flows,
                             algorithm=algo,
                             seed=label_seed(seed, f"twin:p{p}:c{c}:{algo}"),
-                            horizon=settings.job_horizon,
-                            warmup=settings.job_warmup,
-                            cooldown=settings.job_cooldown,
-                            dt=clock.dt,
+                            clock=job_clock,
                             candidate_index=c,
                         )
                     )
-            if p == 0:
-                pool = stack.enter_context(worker_pool(settings.parallelism, len(jobs)))
             results = run_parallel(
                 network, jobs, settings.parallelism, vehicle, carryover_turns, pool
             )

@@ -227,7 +227,8 @@ def test_criterion_5_determinism(tmp_path, default_net, capsys):
             SimulationJob(
                 job_id=f"c0-{algo}",
                 flows=tuple(Flow(o, d, 80.0) for o, d in ods),
-                algorithm=algo, seed=5, horizon=600.0, warmup=200.0,
+                algorithm=algo, seed=5,
+                clock=SimClock(horizon=600.0, warmup=200.0, cooldown=0.0),
             )
             for algo in ALGORITHMS
         ]

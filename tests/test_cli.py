@@ -315,6 +315,8 @@ def test_invalid_flow_exit_2(tmp_path, capsys, flow, field):
         pytest.param({"job_horizon": 600.5}, "twin.job_horizon", id="job-horizon-off-grid"),
         pytest.param({"period": 0.3}, "twin.period", id="period-off-grid"),
         pytest.param({"factors": [1e308]}, "twin.factors", id="factor-bound-not-finite"),
+        pytest.param({"initial_algorithm": "dt3"}, "twin.initial_algorithm: unknown algorithm",
+                     id="initial-algorithm-unknown"),
     ],
 )
 def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
@@ -352,6 +354,9 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
         pytest.param("simulate", {"horizon": 10**400}, "horizon", id="horizon-beyond-float"),
         pytest.param("simulate", {"horizon": 1e308, "dt": 0.5, "warmup": 0, "cooldown": 0},
                      "horizon", id="horizon-steps-beyond-float"),
+        pytest.param("simulate", {"horizon": 1e308, "dt": 1.0, "warmup": 0, "cooldown": 0},
+                     "horizon (1e+308s) over dt (1.0s) is more than 2**53 steps",
+                     id="horizon-steps-beyond-exact"),
         pytest.param("simulate", {"horizon": 0, "warmup": 0, "cooldown": 0}, "horizon",
                      id="horizon-zero"),
         pytest.param("simulate", {"dt": 1.0, "horizon": 120.5, "warmup": 0, "cooldown": 0},

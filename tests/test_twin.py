@@ -42,8 +42,7 @@ def make_jobs(grid, vphs, horizon=900.0, warmup=300.0):
                     flows=flows,
                     algorithm=algo,
                     seed=1000 + c,
-                    horizon=horizon,
-                    warmup=warmup,
+                    clock=SimClock(horizon=horizon, warmup=warmup, cooldown=0.0),
                     candidate_index=c,
                 )
             )
@@ -97,7 +96,7 @@ def fake_result(algorithm, score):
 def fake_job(algorithm):
     return SimulationJob(
         job_id=f"p0-c0-{algorithm}", flows=(), algorithm=algorithm,
-        seed=0, horizon=900.0, warmup=300.0, candidate_index=0,
+        seed=0, clock=SimClock(horizon=900.0, warmup=300.0, cooldown=0.0), candidate_index=0,
     )
 
 
@@ -216,6 +215,31 @@ def test_live_loop_shuts_the_pool_down_when_a_period_raises(grid3, inline_pools,
     assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [(2, 1)]
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        pytest.param({"job_horizon": 300.5}, "job_horizon", id="job-horizon-off-grid"),
+        pytest.param({"period": 0.3}, "period", id="period-off-grid"),
+        pytest.param({"factors": (1e308,)}, "factors", id="factor-bound-not-finite"),
+        pytest.param({"initial_algorithm": "dt3"}, "initial_algorithm",
+                     id="initial-algorithm-unknown"),
+    ],
+)
+def test_live_loop_refuses_bad_settings_before_any_job(grid3, monkeypatch, bad, field):
+    # The library entry applies the rules that the CLI applies.
+    import signaltwin.twin as twin
+
+    def no_jobs(*args, **kwargs):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(twin, "run_parallel", no_jobs)
+    ods = grid3.straight_od_pairs()[:4]
+    program = [DemandPhase(0.0, tuple(Flow(o, d, 80.0) for o, d in ods))]
+    clock = SimClock(dt=1.0, horizon=900.0, warmup=0.0, cooldown=0.0)
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        live_loop(grid3, program, TwinSettings(**bad), seed=1, clock=clock)
+
+
 def test_run_parallel_matches_direct_serial_rerun(grid3):
     # Six jobs (2 demands x 3 algorithms): each result must equal a fresh
     # standalone simulation configured identically.
@@ -243,8 +267,7 @@ def test_run_parallel_captures_job_failure(grid3):
         flows=(Flow("missing:origin", "n1-2:be-1", 50.0),),
         algorithm="dt1",
         seed=1,
-        horizon=600.0,
-        warmup=200.0,
+        clock=SimClock(horizon=600.0, warmup=200.0, cooldown=0.0),
     )
     results = run_parallel(grid3, jobs + [bad], parallelism=1)
     assert results[-1].error is not None
