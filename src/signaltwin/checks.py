@@ -49,7 +49,7 @@ def _typed(value, hint, path: str):
         if isinstance(value, (list, tuple)):
             return origin(_typed(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
     elif hint is float:
-        if _is_number(value) and abs(value) <= sys.float_info.max:  # finite, also as a float
+        if _is_finite(value):
             return float(value)
     elif issubclass(hint, Enum):
         with suppress(ValueError):
@@ -60,5 +60,7 @@ def _typed(value, hint, path: str):
     raise ConfigError(f"{path} must be {name}, got {value!r}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """A JSON number, never a bool, that is finite, also as a float."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import metrics
-from .checks import ConfigError, _checked, _is_number, _typed
+from .checks import ConfigError, _checked, _is_finite, _typed
 from .controllers import ALGORITHMS, validate_algorithm
 from .network import Network, build_grid, load_network, save_network
 from .traffic import (
@@ -224,32 +224,33 @@ def _resolve_demand_program(
 # -- artifact writers --------------------------------------------------------
 
 
-def summary_dict(result: SimulationResult, network: Network) -> dict:
-    mean, grade = metrics.control_delay_summary(result.control_delay_values())
-    pooled = [
-        v
-        for movement in result.movement_stopped_delays
-        for _, v in result.movement_stopped_delays[movement]
-    ]
+def _delay_summary(window: Sequence[float], control: Sequence[float], stopped: dict) -> dict:
+    """The fields that summary.json and report.json share, from the control
+    delays and the per-movement stopped delays measured in ``window``."""
+    mean, grade = metrics.control_delay_summary(control)
     return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
+        "window": list(window),
+        "measured_traversals": len(control),
+        "mean_control_delay": mean,
+        "los": grade.grade,
+        "aasd": {m: metrics.aasd(v) for m, v in sorted(stopped.items())},
+    }
+
+
+def summary_dict(result: SimulationResult, network: Network) -> dict:
+    stopped = {m: [v for _, v in rows] for m, rows in result.movement_stopped_delays.items()}
+    return {
+        **_delay_summary(result.window, result.control_delay_values(), stopped),
         "algorithm": result.algorithm,
         "seed": result.seed,
         "scenario_id": result.scenario_id,
-        "window": list(result.window),
         "subject_intersection": network.subject_intersection,
         "inserted": result.inserted,
         "exited": result.exited,
         "deferred_insertions": result.deferred_insertions,
         "mean_depart_delay": result.mean_depart_delay,
-        "measured_traversals": result.measured_traversals,
-        "mean_control_delay": mean,
-        "los": grade.grade,
-        "aasd": {
-            movement: metrics.aasd(result.movement_delay_values(movement))
-            for movement in sorted(result.movement_stopped_delays)
-        },
-        "stopped_delay_skewness": metrics.sample_skewness(pooled),
+        "stopped_delay_skewness": metrics.sample_skewness([*itertools.chain(*stopped.values())]),
     }
 
 
@@ -378,34 +379,26 @@ def cmd_report(config: RunConfig) -> int:
     with _config_errors(f"{network_path}: "):
         network = load_network(network_path)
     window = _run_json(summary_path).get("window")
-    if not (isinstance(window, list) and len(window) == 2 and all(map(_is_number, window))):
-        raise ConfigError(f"{summary_path}: field 'window' must be [start, end], got {window!r}")
+    if not (isinstance(window, list) and len(window) == 2 and all(map(_is_finite, window))
+            and window[0] <= window[1]):
+        raise ConfigError(f"{summary_path}: field 'window' must be finite [start, end] with "
+                          f"start <= end, got {window!r}")
     window = tuple(window)
     dt = _run_json(config_path).get("dt")
-    if not (_is_number(dt) and dt > 0.0):
-        raise ConfigError(f"{config_path}: field 'dt' must be a positive number, got {dt!r}")
-    block: list = [2, []]  # the first line number and the rows of the block being read
+    if not (_is_finite(dt) and dt > 0.0):
+        raise ConfigError(f"{config_path}: field 'dt' must be a positive finite number, got {dt!r}")
     try:
-        control, movement_delays = metrics.recompute_from_trajectory(
-            _trajectory_rows(traj_path, block), network, window, float(dt)
+        control, stopped = metrics.recompute_from_trajectory(
+            _trajectory_rows(traj_path), network, window, float(dt)
         )
     except metrics.TrajectoryRowError as exc:
-        line = _line_number(traj_path, block, exc.row)
+        line = _bad_row_line(traj_path, network, window, float(dt))
         raise ConfigError(f"{traj_path} line {line}: {exc}") from None
-    mean, grade = metrics.control_delay_summary(control)
-    report = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "source": "trajectory.csv",
-        "window": list(window),
-        "measured_traversals": len(control),
-        "mean_control_delay": mean,
-        "los": grade.grade,
-        "aasd": {m: metrics.aasd(v) for m, v in sorted(movement_delays.items())},
-    }
+    report = {**_delay_summary(window, control, stopped), "source": "trajectory.csv"}
     _write_json(report, run_dir / "report.json")
     print(
-        f"report: recomputed mean_control_delay={mean:.2f}s los={grade.grade} "
-        f"traversals={len(control)} -> {run_dir / 'report.json'}"
+        f"report: recomputed mean_control_delay={report['mean_control_delay']:.2f}s "
+        f"los={report['los']} traversals={len(control)} -> {run_dir / 'report.json'}"
     )
     return 0
 
@@ -418,23 +411,19 @@ def _run_json(path: Path) -> dict:
     return data
 
 
-def _trajectory_rows(path: Path, block: list | None = None) -> Iterator[list[str]]:
+def _trajectory_rows(path: Path) -> Iterator[list[str]]:
     """The data rows of a trajectory log as split, unconverted fields.
 
     Checks the header and each row's column count; the last field keeps
     its line break, which ``float`` ignores.  Rows are split a block of
     lines at a time; 8 KiB blocks (about 150 rows) keep each block's lists
     below the garbage collector's youngest-generation threshold, which
-    measured faster than both per-line splitting and 64 KiB blocks.  The
-    reader keeps the first line number and the rows of the block being
-    read in ``block``, if given.
+    measured faster than both per-line splitting and 64 KiB blocks.
     """
-    if block is None:
-        block = [2, []]
-    return itertools.chain.from_iterable(_trajectory_blocks(path, block))
+    return itertools.chain.from_iterable(_trajectory_blocks(path))
 
 
-def _trajectory_blocks(path: Path, block: list) -> Iterator[list[list[str]]]:
+def _trajectory_blocks(path: Path) -> Iterator[list[list[str]]]:
     columns = TRAJECTORY_HEADER.strip().split(",")
     with open(path, newline="") as fh:
         header = fh.readline()
@@ -452,25 +441,22 @@ def _trajectory_blocks(path: Path, block: list) -> Iterator[list[list[str]]]:
                     f"{path} line {lineno + bad}: expected {len(columns)} columns "
                     f"({','.join(columns)}), got {len(rows[bad])}"
                 )
-            block[:] = lineno, rows
             yield rows
             lineno += len(rows)
 
 
-def _line_number(path: Path, block: list, row: Sequence) -> int:
-    """The line of ``row``, which the reader handed out while ``block`` was
-    the block being read."""
-    first, rows = block
-    index = next((i for i, r in enumerate(rows) if r is row), None)
-    if index is not None:
-        return first + index
-    # Only a vehicle's previous row comes from an earlier block: its
-    # accumulated_waiting is read when the vehicle changes segment.  No row
-    # of that vehicle lies between the two, so it is the last line before
-    # this block that splits into it.
+def _bad_row_line(path: Path, network: Network, window: tuple[float, float], dt: float) -> int:
+    """The line of the row that recomputation refused in ``path``.  Rows here
+    carry their line number as an extra last field, which recomputation
+    never reads; it is a pure function of its rows, so it fails again at
+    the same row, and every row before that passed the column check."""
     with open(path, newline="") as fh:
-        lines = itertools.islice(fh, first - 1)
-        return max(n for n, line in enumerate(lines, 1) if line.split(",") == row)
+        numbered = (line.split(",") + [n] for n, line in enumerate(fh, 1))
+        next(numbered)  # the header
+        try:
+            metrics.recompute_from_trajectory(numbered, network, window, dt)
+        except metrics.TrajectoryRowError as exc:
+            return exc.row[-1]
 
 
 def read_trajectory(path: str | Path) -> list[tuple[float, str, str, float, float, float, float]]:

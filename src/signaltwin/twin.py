@@ -81,6 +81,7 @@ class SimulationJob:
     seed: int
     clock: SimClock
     candidate_index: int | None = None
+    departure_mode: str = "poisson"
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,7 @@ def _execute_job(
             seed=job.seed,
             clock=job.clock,
             vehicle=vehicle,
+            departure_mode=job.departure_mode,
             carryover_turns=carryover_turns,
         )
         return sim.run()
@@ -410,6 +412,7 @@ def live_loop(
                             seed=label_seed(seed, f"twin:p{p}:c{c}:{algo}"),
                             clock=job_clock,
                             candidate_index=c,
+                            departure_mode=settings.departure_mode,
                         )
                     )
             results = run_parallel(

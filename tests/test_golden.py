@@ -60,6 +60,13 @@ CASES = {
         ("simulate", "report"),
         RUN_ARTIFACTS,
     ),
+    # Two lanes per segment, so lane choice at insertion and turning is used.
+    "simulate-dt1-s9-2lane": (
+        {**BASE_CONFIG, "network": {**BASE_CONFIG["network"], "lane_count": 2},
+         "scenario": 9, "algorithms": ["dt1"]},
+        ("simulate", "report"),
+        RUN_ARTIFACTS,
+    ),
     "twin-s2": (TWIN_CONFIG, ("twin", "report"), RUN_ARTIFACTS + ("twin_manifest.json",)),
     # Two periods whose jobs run in one pool of two worker processes.
     "twin-s2-p2": (

@@ -247,6 +247,25 @@ def test_report_rejects_summary_without_window(good_run, tmp_path, capsys):
     assert "summary.json" in err and "'window'" in err
 
 
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        pytest.param("config.json", "dt", float("inf"), id="dt-infinite"),
+        pytest.param("summary.json", "window", [float("nan"), 350.0], id="window-nan"),
+        pytest.param("summary.json", "window", [350.0, 50.0], id="window-reversed"),
+        pytest.param("summary.json", "window", [50.0, float("inf")], id="window-end-infinite"),
+    ],
+)
+def test_report_rejects_invalid_run_value(good_run, tmp_path, capsys, name, field, value):
+    # Python's json reads NaN and Infinity; each of these used to exit 0.
+    run = broken_copy(good_run, tmp_path)
+    data = json.loads((run / name).read_text())
+    data[field] = value
+    (run / name).write_text(json.dumps(data))
+    assert f"{name}: field '{field}'" in report_error(run, capsys)
+    assert not (run / "report.json").exists()
+
+
 def test_report_rejects_invalid_network_json(good_run, tmp_path, capsys):
     run = broken_copy(good_run, tmp_path)
     (run / "network.json").write_text("{")

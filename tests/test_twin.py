@@ -215,6 +215,29 @@ def test_live_loop_shuts_the_pool_down_when_a_period_raises(grid3, inline_pools,
     assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [(2, 1)]
 
 
+def test_live_loop_jobs_use_the_departure_mode(grid3, monkeypatch):
+    import signaltwin.traffic as traffic
+
+    modes = []
+    generate = traffic.generate_departures
+
+    def recording(flow, horizon, seed, mode="poisson"):
+        modes.append(mode)
+        return generate(flow, horizon, seed, mode)
+
+    monkeypatch.setattr(traffic, "generate_departures", recording)
+    ods = grid3.straight_od_pairs()[:4]
+    program = [DemandPhase(0.0, tuple(Flow(o, d, 80.0) for o, d in ods))]
+    settings = TwinSettings(period=300.0, job_horizon=300.0, job_warmup=100.0,
+                            departure_mode="uniform")
+    clock = SimClock(dt=1.0, horizon=900.0, warmup=100.0, cooldown=100.0)
+    manifest, _, _ = live_loop(grid3, program, settings, seed=9, clock=clock)
+    n_jobs = sum(len(p["jobs"]) for p in manifest["periods"])
+    # One call per flow for the live run and for each of the 18 jobs.
+    assert n_jobs == 18
+    assert modes == ["uniform"] * len(ods) * (1 + n_jobs)
+
+
 @pytest.mark.parametrize(
     "bad, field",
     [
