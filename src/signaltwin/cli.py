@@ -284,8 +284,7 @@ def _write_run_artifacts(
             fh.write(f"{veh.vid},{veh.depart_time!r},{route[0]},{route[-1]},{'|'.join(route)}\n")
     with open(out_dir / "signals.csv", "w", newline="") as fh:
         fh.write(SIGNALS_HEADER)
-        for t, node, phase, stage, green in sim.signal_log:
-            fh.write(f"{t!r},{node},{phase},{stage},{green!r}\n")
+        fh.writelines(sim.signal_lines())
     _write_json(summary_dict(result, network), out_dir / "summary.json")
 
 

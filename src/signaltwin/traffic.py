@@ -19,7 +19,7 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,6 +84,15 @@ SIGNAL_LOOKAHEAD = 50.0
 _REPR_MEMO_LIMIT = 65_536
 
 
+def _require_finite(obj, names: Iterable[str]) -> None:
+    """Raise ValueError, naming the field, if one of the fields ``names``
+    of ``obj`` is not a finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class Flow:
     """Constant-rate demand between two peripheral segments."""
@@ -126,6 +135,7 @@ class SimClock:
     cooldown: float = 600.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("dt", "horizon", "warmup", "cooldown"))
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         per_second = 1.0 / self.dt
@@ -161,6 +171,7 @@ class VehicleParams:
     min_gap: float = 2.5
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("length", "max_accel", "max_decel", "min_gap"))
         if min(self.length, self.max_accel, self.max_decel) <= 0.0:
             raise ValueError("length, max_accel and max_decel must be positive")
         if self.min_gap < 0.0:
@@ -323,7 +334,7 @@ class Vehicle:
     __slots__ = (
         "vid", "route", "route_index", "position", "speed",
         "ledger", "entry_time", "turns", "stop_movements", "moved_step",
-        "depart_time", "flow_index",
+        "depart_time", "flow_index", "stop_movement", "turns_left",
     )
 
     def __init__(
@@ -346,6 +357,11 @@ class Vehicle:
         self.entry_time = self.depart_time = depart_time
         self.turns = turns
         self.stop_movements = stop_movements
+        # The entries of the current segment, which the vehicle sweep reads;
+        # Simulation._cross keeps them in step with route_index.
+        self.stop_movement = stop_movements[0]
+        self.turns_left = turns[0] == "left"
+        # The step in which the vehicle last crossed into a segment.
         self.moved_step = -1
         self.flow_index = flow_index
 
@@ -355,7 +371,7 @@ class _SegmentState:
 
     __slots__ = (
         "index", "seg_id", "length", "vff", "lane_count", "pocket_start",
-        "signal", "lanes", "pocket", "sweep",
+        "signal", "lanes", "pocket", "sweep", "sweep_constants",
     )
 
     def __init__(self, index: int, seg, signal: int) -> None:
@@ -371,6 +387,17 @@ class _SegmentState:
         # Lanes in sweep order: the pocket first, then the through lanes.
         self.sweep: tuple[list[Vehicle], ...] = (
             tuple(self.lanes) if self.pocket is None else (self.pocket, *self.lanes)
+        )
+        # What Simulation._advance_vehicles reads of the segment, unpacked
+        # in one go: each lane in sweep order with whether its vehicles can
+        # still move into the pocket (only through-lane vehicles can), then
+        # the free-flow speed, the length, the position from which a vehicle
+        # crosses, the pocket, where it starts and the signal ahead.
+        self.sweep_constants = (
+            tuple((lane, self.pocket is not None and lane is not self.pocket)
+                  for lane in self.sweep),
+            self.vff, self.length, self.length - 1e-9,
+            self.pocket, self.pocket_start, signal,
         )
 
     def vehicle_count(self) -> int:
@@ -677,6 +704,35 @@ class Simulation:
             log += [(t, node, *(own if node == subject else fixed)) for node in nodes]
         return log
 
+    def signal_lines(self) -> Iterator[str]:
+        """The body of ``signals.csv``: per step run so far, one string of
+        that step's ``signal_log`` rows as ``t,node,phase,stage,green_elapsed``
+        lines, floats as ``repr``, each ending in ``\n``.
+
+        Each fixed-plan row's lines are formatted once per call, without
+        their time, and the subject's through a memo: a run shows few
+        distinct subject rows.  A row's ``green_elapsed`` is a whole number
+        of steps times ``dt``, never ``-0.0``, which the memo's keys could
+        not tell from ``0.0``.
+        """
+        nodes, plan, dt = self._signal_nodes, self._plan, self.dt
+        at = nodes.index(self._subject_node)
+        # Per plan row, every node's line after the time; the subject's
+        # entry is replaced in each step.
+        fixed = [
+            [f",{node},{phase},{stage},{green!r}\n" for node in nodes]
+            for phase, stage, green in plan.rows
+        ]
+        subject = f",{self._subject_node},"
+        memo: dict[tuple[int, str, float], str] = {}
+        for k, own in enumerate(self._subject_log):
+            lines = fixed[plan.index(k)].copy()
+            lines[at] = memo.get(own) or memo.setdefault(
+                own, f"{subject}{own[0]},{own[1]},{own[2]!r}\n"
+            )
+            t = repr(k * dt)
+            yield t + t.join(lines)
+
     # -- vehicle dynamics --------------------------------------------------------
 
     def _advance_vehicles(self, t: float) -> None:
@@ -688,6 +744,11 @@ class Simulation:
         visiting it would change nothing.  A vehicle leaves a segment only
         by crossing out of it in the segment's own sweep, so the segment
         can have emptied only if one did.
+
+        The only moved vehicles the sweep can meet are those that crossed
+        into a later segment earlier in it (``_cross`` marks them), at the
+        back of a lane.  A vehicle that moves into the pocket lands in a
+        lane already swept: the pocket is swept before the through lanes.
 
         Every vehicle is built from ``self.params``, so the per-vehicle
         products are computed once here; each equals the per-vehicle one
@@ -701,25 +762,21 @@ class Simulation:
         veh_len = params.length
         accel_dt = params.max_accel * dt
         two_decel = 2.0 * params.max_decel
+        lookahead, margin, stop_speed = SIGNAL_LOOKAHEAD, STOP_LINE_MARGIN, STOP_SPEED_THRESHOLD
+        green, yellow, sqrt = A_GREEN, A_YELLOW, math.sqrt
         aspect_rows = self._aspect_rows
         cross = self._cross
         states = self._state_list
         occupied = self._occupied
         for index in sorted(occupied):
             st = states[index]
-            sweep = st.sweep
-            vff = st.vff
-            seg_len = st.length
-            pocket = st.pocket
-            pocket_start = st.pocket_start
-            displays = aspect_rows[st.signal]
+            lanes, vff, seg_len, cross_at, pocket, pocket_start, signal = st.sweep_constants
+            displays = aspect_rows[signal]
             left = False  # a vehicle crossed out of this segment
-            for lane in sweep:
+            for lane, to_pocket in lanes:
                 n = len(lane)
                 if not n:
                     continue
-                # Only through-lane vehicles can still commit to the pocket.
-                to_pocket = pocket is not None and lane is not pocket
                 i = 0
                 prev_rear = None
                 while i < n:
@@ -728,7 +785,6 @@ class Simulation:
                         # Appended by a crossing earlier in this sweep; all
                         # vehicles behind it arrived the same way.
                         break
-                    veh.moved_step = k
                     old_pos = veh.position
                     old_speed = veh.speed
                     v = old_speed + accel_dt
@@ -739,32 +795,32 @@ class Simulation:
                         allowed = (prev_rear - old_pos - min_gap) / dt
                         if v > allowed:
                             v = allowed if allowed > 0.0 else 0.0
+                    elif displays is None:
+                        may_cross = True  # exit stub, no junction ahead
                     else:
-                        # Front vehicle: signal obedience and crossing rules.
+                        # Front vehicle: signal obedience and crossing rules,
+                        # within the lookahead or braking reach of the line.
                         dist = seg_len - old_pos
-                        reach = v * dt + old_speed * old_speed / two_decel + 5.0
-                        if reach < SIGNAL_LOOKAHEAD:
-                            reach = SIGNAL_LOOKAHEAD
-                        if displays is None:
-                            may_cross = True  # exit stub, no junction ahead
-                        elif dist <= reach:
-                            aspect = displays[veh.stop_movements[veh.route_index]]
-                            if aspect == A_GREEN:
+                        if dist <= lookahead or (
+                            dist <= v * dt + old_speed * old_speed / two_decel + 5.0
+                        ):
+                            aspect = displays[veh.stop_movement]
+                            if aspect == green:
                                 may_cross = True
                             else:
                                 stop = True
-                                if aspect == A_YELLOW:
+                                if aspect == yellow:
                                     brake = old_speed * old_speed / two_decel
-                                    if brake > dist - STOP_LINE_MARGIN:
+                                    if brake > dist - margin:
                                         stop = False  # cannot stop comfortably; proceed
                                         may_cross = True
                                 if stop:
-                                    room = dist - STOP_LINE_MARGIN
+                                    room = dist - margin
                                     if room <= 0.0:
                                         v = 0.0
                                     else:
                                         allowed = room / dt
-                                        brake_v = math.sqrt(two_decel * room)
+                                        brake_v = sqrt(two_decel * room)
                                         if brake_v < allowed:
                                             allowed = brake_v
                                         if v > allowed:
@@ -772,7 +828,7 @@ class Simulation:
 
                     # Left-turners queue into the pocket; a full pocket acts
                     # as a virtual leader so the through lane backs up.
-                    turns_left = to_pocket and veh.turns[veh.route_index] == "left"
+                    turns_left = to_pocket and veh.turns_left
                     if turns_left and pocket:
                         tail_rear = pocket[-1].position - veh_len
                         if tail_rear > old_pos:
@@ -782,7 +838,7 @@ class Simulation:
 
                     new_pos = old_pos + v * dt
 
-                    if may_cross and new_pos >= seg_len - 1e-9:
+                    if may_cross and new_pos >= cross_at:
                         if cross(veh, st, new_pos - seg_len, v, t_out):
                             lane.pop(i)
                             n -= 1
@@ -798,7 +854,7 @@ class Simulation:
                     veh.speed = v
                     ledger = veh.ledger
                     # delay.update_waiting, inlined; test_engine_properties checks they agree.
-                    if v < STOP_SPEED_THRESHOLD:
+                    if v < stop_speed:
                         ledger.waiting += dt
                         ledger.accumulated += dt
                     else:
@@ -814,7 +870,7 @@ class Simulation:
 
                     prev_rear = new_pos - veh_len
                     i += 1
-            if left and not any(sweep):
+            if left and not any(st.sweep):
                 occupied.discard(index)
 
     def _cross(
@@ -843,7 +899,7 @@ class Simulation:
         # being left; at the subject that is the movement's measurement.
         ledger = on_approach_transition(veh.ledger)
         if st.signal == _SUBJECT:
-            self._movement_stops[veh.stop_movements[idx]].append((t_out, ledger.carried_over))
+            self._movement_stops[veh.stop_movement].append((t_out, ledger.carried_over))
             self._control_delays.append(
                 (t_out, segment_delay(veh.entry_time, t_out, st.length, st.vff))
             )
@@ -854,7 +910,11 @@ class Simulation:
             self.exited += 1
             return True
 
-        veh.route_index = idx + 1
+        idx += 1
+        veh.route_index = idx
+        veh.stop_movement = veh.stop_movements[idx]
+        veh.turns_left = veh.turns[idx] == "left"
+        veh.moved_step = self._step_index
         veh.position = entry_front
         veh.speed = min(v, next_st.vff)
         veh.entry_time = t_out

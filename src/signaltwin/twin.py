@@ -29,6 +29,7 @@ from .traffic import (
     Simulation,
     SimulationResult,
     VehicleParams,
+    _require_finite,
     departure_rows,
     label_seed,
 )
@@ -65,10 +66,11 @@ class DemandEstimate:
     vph: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("window_length",))
         if self.window_length <= 0.0:
             raise ValueError("window_length must be positive")
-        if any(v < 0.0 for v in self.vph):
-            raise ValueError("measured vph must be >= 0")
+        if not all(math.isfinite(v) and v >= 0.0 for v in self.vph):
+            raise ValueError(f"vph must be finite and >= 0, got {self.vph}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,13 @@ class TwinSettings:
     departure_mode: str = "poisson"
 
     def __post_init__(self) -> None:
-        if not self.factors or any(f <= 0.0 for f in self.factors):
-            raise ValueError("factors must be a nonempty list of positive scalars")
+        if not self.factors or not all(math.isfinite(f) and f > 0.0 for f in self.factors):
+            raise ValueError(
+                f"factors must be a nonempty list of positive finite scalars, got {self.factors}"
+            )
+        _require_finite(
+            self, ("period", "job_horizon", "job_warmup", "job_cooldown", "estimate_window")
+        )
         if self.period <= 0.0:
             raise ValueError("period must be positive")
         if not isinstance(self.parallelism, int) or self.parallelism < 1:

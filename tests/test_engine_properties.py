@@ -6,8 +6,10 @@ gap to the leader, position and speed bounds, and monotone stopped-delay
 ledgers that advance each step exactly as ``delay.update_waiting`` does
 (the sweep keeps an inline copy of that rule).  They also guard the
 shortcuts of the step: the set of occupied segments that the sweep
-visits, and the table of the plan that every fixed-time intersection
-runs, against a standalone timer.
+visits, the table of the plan that every fixed-time intersection runs,
+against a standalone timer, and the per-vehicle fields the sweep reads in
+place of the route tables (the current stop-line movement and left-turn
+flag), and that a vehicle that crossed in a step is not moved again in it.
 No logged value is ever ``-0.0``, which the trajectory writer's repr memo
 could not tell from ``0.0``.
 """
@@ -72,6 +74,20 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
             assert math.copysign(1.0, pending.speed) > 0, pending.vid
     # Vehicle id -> (waiting, accumulated) after the previous step.
     last_ledgers: dict[str, tuple[float, float]] = {}
+    # Each vehicle that crossed into a new segment in this step, with its
+    # state as the crossing left it; the sweep must not move it again.
+    crossed = []
+    cross = sim._cross
+
+    def recording_cross(veh, *args):
+        route_index = veh.route_index
+        moved = cross(veh, *args)
+        if veh.route_index != route_index:
+            led = veh.ledger
+            crossed.append((veh, veh.position, veh.speed, led.waiting, led.accumulated))
+        return moved
+
+    sim._cross = recording_cross
     # A standalone timer running the fixed two-phase plan.
     fixed = ControllerTimer(dt)
     cycle, split = round(2 * FIXED_SPLIT / dt), round(FIXED_SPLIT / dt)
@@ -79,6 +95,10 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
     for k in range(sim.clock.n_steps):
         sim.step()
         assert sim.inserted - sim.exited == sim.vehicles_on_network()
+        for veh, *state in crossed:
+            led = veh.ledger
+            assert [veh.position, veh.speed, led.waiting, led.accumulated] == state, veh.vid
+        crossed.clear()
         occupied = {state.index for state in sim._state_list if state.vehicle_count()}
         assert sim._occupied == occupied
         phase = fixed.tick(k, lambda: 0 if k % cycle < split else 2)
@@ -92,6 +112,9 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
             for lane in state.sweep:
                 leader = None
                 for veh in lane:
+                    route_index = veh.route_index
+                    assert veh.stop_movement == veh.stop_movements[route_index], veh.vid
+                    assert veh.turns_left == (veh.turns[route_index] == "left"), veh.vid
                     assert 0.0 <= veh.position <= state.length, (veh.vid, veh.position)
                     assert 0.0 <= veh.speed <= state.vff, (veh.vid, veh.speed)
                     if leader is not None:

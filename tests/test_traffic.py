@@ -272,6 +272,34 @@ def test_trajectory_writer_matches_per_row_repr(grid3, monkeypatch, memo_limit):
     assert len(sim._repr_memo) <= (memo_limit or traffic._REPR_MEMO_LIMIT)
 
 
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+def test_signals_writer_matches_per_row_repr(grid3, dt):
+    # signals.csv is written from signal_lines(): one string per step whose
+    # lines are the per-row repr of signal_log, past the fixed plan's prefix
+    # into its cycle and across a controller swap.
+    flows = [Flow(o, d, 300.0) for o, d in grid3.straight_od_pairs()]
+    sim = Simulation(
+        grid3, flows=flows, algorithm="baseline", seed=5,
+        clock=SimClock(dt=dt, horizon=300.0, warmup=0.0, cooldown=0.0),
+    )
+    sim.run_until(150.0)
+    sim.set_algorithm("dt1", "swap")
+    sim.run()
+    assert [e["to"] for e in sim.swap_events] == ["dt1"]
+    plan = traffic.fixed_plan(dt)
+    assert sim.clock.n_steps > plan.prefix + plan.cycle
+    subject = grid3.subject_intersection
+    assert len({phase for _, node, phase, _, _ in sim.signal_log if node == subject}) > 2
+    reference = [
+        f"{t!r},{node},{phase},{stage},{green!r}\n"
+        for t, node, phase, stage, green in sim.signal_log
+    ]
+    lines = list(sim.signal_lines())
+    assert len(lines) == sim.clock.n_steps
+    assert all(line.count("\n") == len(grid3.nodes) for line in lines)
+    assert "".join(lines).splitlines(keepends=True) == reference
+
+
 def test_metrics_window_excludes_warmup_and_cooldown(grid3):
     flows = tuple(Flow(o, d, 250.0) for o, d in grid3.straight_od_pairs())
     clock = SimClock(dt=1.0, horizon=3600.0, warmup=600.0, cooldown=600.0)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from signaltwin.network import build_grid
-from signaltwin.traffic import Flow, SimClock, Simulation
+from signaltwin.traffic import Flow, SimClock, Simulation, VehicleParams
 from signaltwin.twin import (
     TWIN_DIMENSION_KEYS,
     DemandEstimate,
@@ -469,3 +469,38 @@ def test_twin_settings_validation():
     TwinSettings(job_warmup=600.0, job_cooldown=300.0, job_horizon=900.0)
     with pytest.raises(ValueError):
         DemandEstimate(window_length=0.0, vph=(1.0,))
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, field",
+    [
+        pytest.param(VehicleParams, {"max_accel": math.nan}, "max_accel",
+                     id="vehicle-max-accel-nan"),
+        pytest.param(VehicleParams, {"length": math.nan}, "length", id="vehicle-length-nan"),
+        pytest.param(VehicleParams, {"length": math.inf}, "length", id="vehicle-length-inf"),
+        pytest.param(VehicleParams, {"max_decel": math.inf}, "max_decel",
+                     id="vehicle-max-decel-inf"),
+        pytest.param(VehicleParams, {"min_gap": math.inf}, "min_gap", id="vehicle-min-gap-inf"),
+        pytest.param(SimClock, {"dt": math.nan}, "dt", id="clock-dt-nan"),
+        pytest.param(SimClock, {"dt": math.inf}, "dt", id="clock-dt-inf"),
+        pytest.param(SimClock, {"warmup": math.nan}, "warmup", id="clock-warmup-nan"),
+        pytest.param(TwinSettings, {"estimate_window": math.nan}, "estimate_window",
+                     id="twin-estimate-window-nan"),
+        pytest.param(TwinSettings, {"estimate_window": math.inf}, "estimate_window",
+                     id="twin-estimate-window-inf"),
+        pytest.param(TwinSettings, {"period": math.nan}, "period", id="twin-period-nan"),
+        pytest.param(TwinSettings, {"job_cooldown": math.nan}, "job_cooldown",
+                     id="twin-job-cooldown-nan"),
+        pytest.param(TwinSettings, {"factors": (1.0, math.nan)}, "factors",
+                     id="twin-factor-nan"),
+        pytest.param(DemandEstimate, {"window_length": math.nan, "vph": (1.0,)},
+                     "window_length", id="estimate-window-length-nan"),
+        pytest.param(DemandEstimate, {"window_length": 300.0, "vph": (1.0, math.inf)},
+                     "vph", id="estimate-vph-inf"),
+    ],
+)
+def test_value_objects_refuse_non_finite_numbers(make, kwargs, field):
+    # A non-finite number must fail where it enters the library, named by
+    # its field, and never become a silent zero or an empty run.
+    with pytest.raises(ValueError, match=rf"^{field} must be .*finite"):
+        make(**kwargs)
