@@ -230,6 +230,13 @@ def write_comparison_json(report: ComparisonReport, path: str | Path) -> None:
 # -- recomputation from raw trajectory logs ---------------------------------
 
 
+def _shown(field) -> str:
+    """``repr`` of a row field, a bytes field as the text it holds."""
+    if isinstance(field, bytes):
+        field = field.decode(errors="backslashreplace")
+    return repr(field)
+
+
 class TrajectoryRowError(ValueError):
     """A trajectory row that recomputation cannot use; ``row`` is that row."""
 
@@ -244,7 +251,7 @@ def _finite(row: Sequence, index: int, name: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise TrajectoryRowError(row, f"{name} {row[index]!r} is not a finite number")
+        raise TrajectoryRowError(row, f"{name} {_shown(row[index])} is not a finite number")
     return value
 
 
@@ -259,12 +266,16 @@ def recompute_from_trajectory(
     waiting, accumulated).
 
     ``rows`` is any iterable in file order: every row of a step before any
-    row of a later step.  Fields may be floats or their text; ``t`` and
-    ``accumulated`` are converted where used, the other numeric fields are
-    never read.  One pass keeps only each vehicle's open visit, so memory
+    row of a later step.  The numeric fields may be floats or their text,
+    as ``str`` or UTF-8 ``bytes``; ``t`` and ``accumulated`` are converted
+    where used, the other numeric fields are never read.  The ids may be
+    ``str`` or UTF-8 ``bytes``, as long as every row uses the same type:
+    a vehicle is told apart by its id as given, and a segment is looked
+    up by either.  One pass keeps only each vehicle's open visit, so memory
     is bounded by the vehicles seen, not by the rows.  A non-finite ``t``
     or used ``accumulated``, a ``t`` earlier than the row before, or an
-    unknown segment raises ``TrajectoryRowError``.
+    unknown segment raises ``TrajectoryRowError``, whose message shows a
+    bytes field as text.
 
     A vehicle leaves a segment one step after its last logged row there;
     the stopped delay on a visit is the accumulated-waiting difference
@@ -272,15 +283,17 @@ def recompute_from_trajectory(
     approaches always continue onto another segment, so a completed
     traversal is detectable by the following visit; exact parity with the
     engine therefore needs a cool-down of at least one step.  Traversals
-    are returned per vehicle in sorted vehicle-id order.
+    are returned per vehicle in sorted vehicle-id order (UTF-8 bytes sort
+    in the order of the text they hold).
     """
     subject = network.subject_intersection
-    segments = network.segments
+    # Segments by id, as text and as UTF-8 bytes.
+    segments = {**network.segments, **{k.encode(): s for k, s in network.segments.items()}}
     lo, hi = window
     # vehicle -> [segment id, segment, t_in, last row, accumulated before the visit]
-    open_visits: dict[str, list] = {}
+    open_visits: dict[str | bytes, list] = {}
     # vehicle -> closed subject traversals (control delay, movement, stopped delay)
-    traversals: dict[str, list[tuple[float, str, float]]] = {}
+    traversals: dict[str | bytes, list[tuple[float, str, float]]] = {}
     t_raw = None
     t = -math.inf
     for row in rows:
@@ -288,7 +301,7 @@ def recompute_from_trajectory(
             t_now = _finite(row, 0, "t")
             if t_now < t:
                 raise TrajectoryRowError(
-                    row, f"t {row[0]!r} is earlier than t {t_raw!r} of the row before"
+                    row, f"t {_shown(row[0])} is earlier than t {_shown(t_raw)} of the row before"
                 )
             t_raw, t = row[0], t_now
         vid, seg_id = row[1], row[2]
@@ -298,7 +311,7 @@ def recompute_from_trajectory(
             continue
         seg = segments.get(seg_id)
         if seg is None:
-            raise TrajectoryRowError(row, f"unknown segment_id {seg_id!r}")
+            raise TrajectoryRowError(row, f"unknown segment_id {_shown(seg_id)}")
         acc_last = 0.0
         if visit is not None:
             _, prev, t_in, last, acc_before = visit

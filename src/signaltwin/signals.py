@@ -85,6 +85,8 @@ class ControllerTimer:
     """
 
     def __init__(self, dt: float = 1.0, initial_phase: int = 0) -> None:
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be a positive finite number, got {dt}")
         if initial_phase not in GREEN_PHASES:
             raise ValueError(f"initial phase must be green-serving, got {initial_phase}")
         self.dt = dt

@@ -84,6 +84,19 @@ SIGNAL_LOOKAHEAD = 50.0
 _REPR_MEMO_LIMIT = 65_536
 
 
+class _ReprMemo(dict):
+    """float -> ``repr``, filled on a miss; cleared when a miss finds it
+    holding ``_REPR_MEMO_LIMIT`` entries."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        if len(self) >= _REPR_MEMO_LIMIT:
+            self.clear()
+        text = self[x] = repr(x)
+        return text
+
+
 def _require_finite(obj, names: Iterable[str]) -> None:
     """Raise ValueError, naming the field, if one of the fields ``names``
     of ``obj`` is not a finite number."""
@@ -334,7 +347,7 @@ class Vehicle:
     __slots__ = (
         "vid", "route", "route_index", "position", "speed",
         "ledger", "entry_time", "turns", "stop_movements", "moved_step",
-        "depart_time", "flow_index", "stop_movement", "turns_left",
+        "depart_time", "flow_index", "stop_movement", "turns_left", "row_key",
     )
 
     def __init__(
@@ -364,6 +377,15 @@ class Vehicle:
         # The step in which the vehicle last crossed into a segment.
         self.moved_step = -1
         self.flow_index = flow_index
+        # ",{vid},{segment id}," of the current segment, as the trajectory
+        # writer fills it; Simulation._cross resets it on every crossing.
+        self.row_key: str | None = None
+
+
+def _fill_row_key(veh: Vehicle, seg_id: str) -> str:
+    """Cache and return the trajectory row key of ``veh`` on ``seg_id``."""
+    key = veh.row_key = f",{veh.vid},{seg_id},"
+    return key
 
 
 class _SegmentState:
@@ -473,7 +495,7 @@ class Simulation:
         self.carryover_turns = carryover_turns
         self.scenario_id = scenario_id
         self._traj_sink = trajectory_sink
-        self._repr_memo: dict[float, str] = {}  # float -> repr, for _log_trajectory
+        self._repr_memo = _ReprMemo()  # for _log_trajectory
 
         self.dt = self.clock.dt
         self._step_index = 0
@@ -905,6 +927,7 @@ class Simulation:
             )
         if not self.carryover_turns and turn != "straight":
             ledger.carried_over = 0.0
+        veh.row_key = None
 
         if turn == "exit":
             self.exited += 1
@@ -928,38 +951,25 @@ class Simulation:
     def _log_trajectory(self, t: float) -> None:
         """Hand the sink this step's rows as one string, if there are any.
 
-        The four floats of a row are printed through a per-run memo of
-        their reprs: a scenario-11 hour holds 354,861 rows but only 2,434
-        distinct values.  Dict keys compare with ``==``, so ``-0.0`` would
-        share ``0.0``'s entry; the engine never holds a ``-0.0`` (every
-        zero is a literal, a difference of equal values or a sum of
-        non-negative ones, and the departure speed is normalised in
-        ``__init__``), which ``test_engine_invariants_every_step`` checks.
+        A row is the step's time, the vehicle's cached ``row_key`` and four
+        floats printed through a per-run memo of their reprs: a scenario-11
+        hour holds 354,861 rows but only 2,434 distinct values.  Dict keys
+        compare with ``==``, so ``-0.0`` would share ``0.0``'s entry; the
+        engine never holds a ``-0.0`` (every zero is a literal, a
+        difference of equal values or a sum of non-negative ones, and the
+        departure speed is normalised in ``__init__``), which
+        ``test_engine_invariants_every_step`` checks.
         """
         memo = self._repr_memo
-        get = memo.get
-
-        def fill(x: float) -> str:
-            if len(memo) >= _REPR_MEMO_LIMIT:
-                memo.clear()
-            text = memo[x] = repr(x)
-            return text
-
-        tr = repr(t)
-        rows: list[str] = []
-        append = rows.append
-        for st in self._state_list:
-            seg_id = st.seg_id
-            for lane in st.sweep:
-                for veh in lane:
-                    led = veh.ledger
-                    p, v, w, a = veh.position, veh.speed, led.waiting, led.accumulated
-                    append(
-                        f"{tr},{veh.vid},{seg_id},{get(p) or fill(p)},{get(v) or fill(v)},"
-                        f"{get(w) or fill(w)},{get(a) or fill(a)}\n"
-                    )
+        rows = [
+            f"{veh.row_key or _fill_row_key(veh, st.seg_id)}{memo[veh.position]},"
+            f"{memo[veh.speed]},{memo[veh.ledger.waiting]},{memo[veh.ledger.accumulated]}\n"
+            for st in self._state_list for lane in st.sweep for veh in lane
+        ]
         if rows:
-            self._traj_sink("".join(rows))
+            # Every row ends in "\n", so the time goes in front of each.
+            tr = repr(t)
+            self._traj_sink(tr + tr.join(rows))
 
     def vehicles_on_network(self) -> int:
         return sum(st.vehicle_count() for st in self._state_list)

@@ -384,6 +384,35 @@ def test_invalid_run_settings_exit_2(tmp_path, capsys, command, extra, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra, flags, field",
+    [
+        pytest.param("simulate", {"twin": {"bogus": 1, "period": -5}, "parallelism": -3}, (),
+                     "twin.bogus: unknown key", id="simulate-twin-section"),
+        pytest.param("simulate", {"twin": {"period": -5}}, (), "twin.period",
+                     id="simulate-twin-period-negative"),
+        pytest.param("simulate", {"parallelism": -3}, (), "twin.parallelism",
+                     id="simulate-parallelism-negative"),
+        pytest.param("simulate", {}, ("--parallelism", "0"), "twin.parallelism",
+                     id="simulate-parallelism-flag-zero"),
+        pytest.param("compare", {"algorithms": ["baseline", "dt1"]}, ("--parallelism", "0"),
+                     "twin.parallelism", id="compare-parallelism-flag-zero"),
+        pytest.param("compare",
+                     {"algorithms": ["baseline", "dt1"], "twin": {"job_horizon": 600.5}}, (),
+                     "twin.job_horizon", id="compare-twin-job-horizon-off-grid"),
+        pytest.param("simulate", {"twin": {"demand_program": [{"start": 0.0}]}}, (),
+                     "twin.demand_program[0]", id="simulate-twin-demand-program"),
+    ],
+)
+def test_every_command_checks_the_twin_section(tmp_path, capsys, command, extra, flags, field):
+    # What twin refuses, simulate and compare refuse too, with twin's message.
+    cfg = small_config(tmp_path, **extra)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out), *flags) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _network_file(tmp_path, mutate=None):
     # The network that small_config builds, saved as a file and edited.
     path = tmp_path / "network.json"

@@ -11,7 +11,8 @@ against a standalone timer, and the per-vehicle fields the sweep reads in
 place of the route tables (the current stop-line movement and left-turn
 flag), and that a vehicle that crossed in a step is not moved again in it.
 No logged value is ever ``-0.0``, which the trajectory writer's repr memo
-could not tell from ``0.0``.
+could not tell from ``0.0``, and a vehicle's cached row key names its
+current segment: set back on every crossing, and cleared when it exits.
 """
 
 import math
@@ -65,7 +66,7 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
     sim = Simulation(
         net, flows=flows, algorithm=algorithm, seed=seed,
         clock=SimClock(dt=dt, horizon=HORIZON, warmup=0.0, cooldown=0.0),
-        vehicle=params,
+        vehicle=params, trajectory_sink=lambda rows: None,
     )
     # A vehicle is logged first as inserted: at position params.length,
     # with its departure speed capped by vff and a fresh ledger.
@@ -131,7 +132,12 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
                     last_ledgers[veh.vid] = (ledger.waiting, ledger.accumulated)
                     for x in (veh.position, veh.speed, ledger.waiting, ledger.accumulated):
                         assert x != 0.0 or math.copysign(1.0, x) > 0, (veh.vid, x)
+                    assert veh.row_key in (None, f",{veh.vid},{state.seg_id},"), veh.vid
                     leader = veh
+    # A vehicle off the network, pending or exited, holds no row key.
+    on_network = {veh.vid for state in sim._state_list for lane in state.sweep for veh in lane}
+    for veh in sim.departure_schedule:
+        assert veh.vid in on_network or veh.row_key is None, veh.vid
 
 
 # A delay ledger that ``vehicle_delay_dt1`` accepts: accumulated >= entry.

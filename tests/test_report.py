@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from signaltwin.cli import TRAJECTORY_HEADER, main, read_trajectory
+from signaltwin.cli import TRAJECTORY_HEADER, _trajectory_rows, main, read_trajectory
 from signaltwin.delay import segment_delay
 from signaltwin.metrics import recompute_from_trajectory
 from signaltwin.network import ALL_MOVEMENTS, load_network, turn_of
@@ -101,11 +101,16 @@ def test_streaming_recompute_equals_group_then_sort(run_dirs, name):
     window = tuple(json.loads((run_dir / "summary.json").read_text())["window"])
     dt = json.loads((run_dir / "config.json").read_text())["dt"]
     tuples = read_trajectory(run_dir / "trajectory.csv")
+    assert all(type(vid) is type(seg_id) is str for _, vid, seg_id, *_ in tuples)
     expected = reference_recompute(tuples, network, window, dt)
     assert expected[0], "case has no measured traversals"
     assert recompute_from_trajectory(tuples, network, window, dt) == expected
+    # Text fields, and the bytes fields that report reads.
     assert recompute_from_trajectory(
         iter(split_rows(run_dir / "trajectory.csv")), network, window, dt
+    ) == expected
+    assert recompute_from_trajectory(
+        _trajectory_rows(run_dir / "trajectory.csv"), network, window, dt
     ) == expected
 
 
@@ -155,6 +160,14 @@ def test_report_rejects_wrong_header(good_run, tmp_path, capsys):
     run = broken_copy(good_run, tmp_path, lambda lines: ["t,vehicle,segment\n"])
     err = report_error(run, capsys)
     assert "line 1" in err and "header" in err
+
+
+def test_report_rejects_crlf_header(good_run, tmp_path, capsys):
+    # Only data rows may end in "\r\n"; the message shows the line end.
+    run = broken_copy(good_run, tmp_path,
+                      lambda lines: [lines[0].replace("\n", "\r\n")] + lines[1:])
+    err = report_error(run, capsys)
+    assert "line 1" in err and "got 't,vehicle_id" in err and "\\r\\n'" in err
 
 
 def test_report_rejects_wrong_column_count(good_run, tmp_path, capsys):
@@ -231,6 +244,62 @@ def test_report_rejects_time_going_backwards(good_run, tmp_path, capsys):
 
     err = report_error(broken_copy(good_run, tmp_path, swap_steps), capsys)
     assert "line 3" in err and "earlier than" in err
+
+
+def edit_bytes(line, index, value):
+    fields = line.split(b",")
+    fields[index] = value
+    return b",".join(fields)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda line: edit_bytes(line, 3, b"\xff\xfe"), "is not UTF-8 text",
+                     id="position-not-utf8"),
+        pytest.param(lambda line: edit_bytes(line, 2, b"n\xe9"), "is not UTF-8 text",
+                     id="segment-id-not-utf8"),
+        # Text mode split a row at a lone carriage return; it stays refused,
+        # also in a field that recomputation never reads.
+        pytest.param(lambda line: edit_bytes(line, 3, b"12\r.5"), "got a carriage return",
+                     id="lone-carriage-return"),
+        pytest.param(lambda line: line.replace(b"\n", b"\r\r\n"), "got a carriage return",
+                     id="carriage-return-before-crlf"),
+    ],
+)
+def test_report_rejects_unreadable_line(good_run, tmp_path, capsys, edit, message):
+    # Each of the first two used to exit 3 with a UnicodeDecodeError.
+    run = broken_copy(good_run, tmp_path)
+    lines = (run / "trajectory.csv").read_bytes().splitlines(keepends=True)
+    lines[5] = edit(lines[5])
+    (run / "trajectory.csv").write_bytes(b"".join(lines))
+    err = report_error(run, capsys)
+    assert "line 6: " in err and message in err
+    assert not (run / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # The header keeps its "\n"; every data row ends in "\r\n".
+        pytest.param(lambda data: data.replace(b"\n", b"\r\n").replace(b"\r\n", b"\n", 1),
+                     id="crlf-row-ends"),
+        pytest.param(lambda data: data.removesuffix(b"\n"), id="no-final-newline"),
+    ],
+)
+def test_report_accepts_row_ends(good_run, tmp_path, edit):
+    reports = []
+    for name, change in (("plain", None), ("edited", edit)):
+        (tmp_path / name).mkdir()
+        run = broken_copy(good_run, tmp_path / name)
+        if change is not None:
+            path = run / "trajectory.csv"
+            data = path.read_bytes()
+            path.write_bytes(change(data))
+            assert path.read_bytes() != data
+        assert main(["report", "--out", str(run)]) == 0
+        reports.append((run / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_report_rejects_config_without_dt(good_run, tmp_path, capsys):

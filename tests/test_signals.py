@@ -200,3 +200,11 @@ def test_timer_validates_configuration():
         ControllerTimer(dt=1.0, initial_phase=1)
     with pytest.raises(ValueError):
         ControllerTimer(dt=0.3)  # does not divide the cadence cleanly
+
+
+@pytest.mark.parametrize("dt", [float("nan"), 0.0, -1.0, float("inf")],
+                         ids=["nan", "zero", "negative", "infinite"])
+def test_timer_checks_dt_itself(dt):
+    # A bad dt is named as dt, not as the first duration divided by it.
+    with pytest.raises(ValueError, match=r"^dt must be a positive finite number"):
+        ControllerTimer(dt)
