@@ -30,6 +30,7 @@ from .traffic import (
     Simulation,
     SimulationResult,
     VehicleParams,
+    _check_distinct_pairs,
     scenario_catalog,
 )
 from .twin import DemandPhase, TwinSettings, check_demand_program, check_settings, live_loop
@@ -155,7 +156,8 @@ def _resolve_network(spec: dict) -> Network:
 
 def _flows_from_dicts(rows: Sequence[dict], network: Network, where: str) -> tuple[Flow, ...]:
     """Flows parsed from JSON rows, each checked to run from a peripheral
-    entry to a peripheral exit segment of ``network``."""
+    entry to a peripheral exit segment of ``network``, no origin/destination
+    pair twice."""
     entries, exits = network.peripheral_entries(), network.peripheral_exits()
     flows = []
     for i, row in enumerate(rows):
@@ -170,6 +172,8 @@ def _flows_from_dicts(rows: Sequence[dict], network: Network, where: str) -> tup
                 f"{where}[{i}].destination: {flow.destination!r} is not a peripheral exit segment"
             )
         flows.append(flow)
+    with _config_errors(""):
+        _check_distinct_pairs(flows, where)
     return tuple(flows)
 
 

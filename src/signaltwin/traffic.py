@@ -122,6 +122,20 @@ class Flow:
             raise ValueError(f"depart_speed must be finite and >= 0, got {self.depart_speed}")
 
 
+def _check_distinct_pairs(flows: Sequence[Flow], where: str) -> None:
+    """Raise ValueError, naming the entry of ``flows`` (listed as ``where``),
+    if a flow repeats an earlier flow's origin/destination pair: both would
+    draw their departures from one random stream, in lockstep."""
+    first: dict[tuple[str, str], int] = {}
+    for i, flow in enumerate(flows):
+        j = first.setdefault((flow.origin, flow.destination), i)
+        if j != i:
+            raise ValueError(
+                f"{where}[{i}]: the origin/destination pair {flow.origin} -> "
+                f"{flow.destination} repeats {where}[{j}]"
+            )
+
+
 @dataclass(frozen=True)
 class DemandScenario:
     """One of the eleven demand levels."""
@@ -542,6 +556,7 @@ class Simulation:
 
         # Demand: explicit schedule or flows expanded per departure mode.
         self.flows: tuple[Flow, ...] = tuple(flows) if flows else ()
+        _check_distinct_pairs(self.flows, "flows")
         if schedule is None:
             schedule = departure_rows(self.flows, self.clock.horizon, seed, departure_mode)
         elif flows:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .controllers import ALGORITHMS, validate_algorithm
 from .metrics import los_from_control_delay
-from .network import Network
+from .network import Network, NetworkError, UnknownIdError, shortest_path
 from .signals import _exact_steps
 from .traffic import (
     DEPARTURE_MODES,
@@ -29,6 +29,7 @@ from .traffic import (
     Simulation,
     SimulationResult,
     VehicleParams,
+    _check_distinct_pairs,
     _require_finite,
     departure_rows,
     label_seed,
@@ -75,7 +76,14 @@ class DemandEstimate:
 
 @dataclass(frozen=True)
 class SimulationJob:
-    """One independent (demand candidate, algorithm) evaluation."""
+    """One independent (demand candidate, algorithm) evaluation.
+
+    ``live_loop`` gives a job only the flows of the subject's slice
+    (``_subject_flows``) at the candidate's rates: the job's score and its
+    control and stopped delays equal those of a job run on every flow,
+    while its ``inserted``, ``exited``, ``deferred_insertions`` and
+    ``mean_depart_delay`` count only the flows it runs.
+    """
 
     job_id: str
     flows: tuple[Flow, ...]
@@ -297,7 +305,7 @@ def select_controller(
 def check_demand_program(demand_program: Sequence[DemandPhase]) -> None:
     """Raise ValueError, naming the entry, unless the program is nonempty,
     its earliest phase starts at 0 and every phase lists the same ordered
-    origin/destination pairs (the live flow indices)."""
+    origin/destination pairs (the live flow indices), none twice."""
     if not demand_program:
         raise ValueError("demand_program must hold at least one phase")
     first = min(phase.start for phase in demand_program)
@@ -310,6 +318,41 @@ def check_demand_program(demand_program: Sequence[DemandPhase]) -> None:
                 f"demand_program[{i}].flows: every phase must list the same "
                 "origin/destination pairs, in the same order, as demand_program[0]"
             )
+    _check_distinct_pairs(demand_program[0].flows, "demand_program[0].flows")
+
+
+def _subject_flows(network: Network, ods: Sequence[tuple[str, str]]) -> list[int]:
+    """Indices, in order, of the origin/destination pairs in the subject's
+    slice: every pair whose route enters the subject intersection, then
+    every pair whose route shares a segment with a kept pair, until none is
+    added.  A pair that ``shortest_path`` refuses is kept, so that a job
+    fails on it as it would on every flow.
+
+    The slice is exact.  A vehicle reads only its lane leader, its
+    segment's pocket tail, its signal and the lanes of the segment it
+    enters or is inserted into; the fixed plan depends only on time, and
+    the subject's signal only on the vehicles on its approaches.  Every
+    vehicle on a segment of a kept route belongs to a kept pair, and each
+    flow draws its departures from its own stream, so the kept vehicles
+    move as they do among all the flows.
+    """
+    routes: list[frozenset[str] | None] = []
+    for origin, destination in ods:
+        try:
+            routes.append(frozenset(shortest_path(network, origin, destination)))
+        except (NetworkError, UnknownIdError):
+            routes.append(None)
+    reached = set(network.incoming(network.subject_intersection))
+    kept = {i for i, route in enumerate(routes) if route is None}
+    grown = True
+    while grown:
+        grown = False
+        for i, route in enumerate(routes):
+            if i not in kept and not reached.isdisjoint(route):
+                kept.add(i)
+                reached |= route
+                grown = True
+    return sorted(kept)
 
 
 def build_live_schedule(
@@ -366,6 +409,14 @@ def live_loop(
 
     Returns the manifest (dimensions, per-period evidence, swap events),
     the live run's aggregated result, and the live simulation itself.
+    The live run simulates every flow of ``demand_program``; each job
+    simulates only the flows of the subject's slice, in program order, at
+    its candidate's rates.  That is exact (see ``_subject_flows``): a
+    job's control and stopped delays at the subject, and so its score,
+    equal those of the job on every flow, while its unrecorded counts
+    (``inserted``, ``exited``, ``deferred_insertions``,
+    ``mean_depart_delay``) cover only the slice.
+
     ``trajectory_sink`` receives the live run's trajectory as
     ``Simulation`` hands it over: one string per step, holding that step's
     rows, each ending in ``\\n``.  Raises ValueError, naming the field,
@@ -378,6 +429,7 @@ def live_loop(
     )
     ods = [(f.origin, f.destination) for f in demand_program[0].flows]
     depart_speeds = [f.depart_speed for f in demand_program[0].flows]
+    sliced = _subject_flows(network, ods)
     sim = Simulation(
         network,
         schedule=schedule,
@@ -407,9 +459,7 @@ def live_loop(
             candidates = forecast_demands(estimate, settings.factors)
             jobs = []
             for c, cand in enumerate(candidates):
-                flows = tuple(
-                    Flow(o, d, v, s) for (o, d), v, s in zip(ods, cand, depart_speeds)
-                )
+                flows = tuple(Flow(*ods[i], cand[i], depart_speeds[i]) for i in sliced)
                 for algo in ALGORITHMS:
                     jobs.append(
                         SimulationJob(

@@ -270,6 +270,15 @@ def program(*phases):
                      "base_vph", id="program-base-vph-zero"),
         pytest.param("simulate", {"flows": [{**FLOW, "vhp": 60.0}]}, "flows[0].vhp",
                      id="flows-unknown-key"),
+        # Two flows of one pair would depart in lockstep, from one random stream.
+        pytest.param("simulate", {"flows": [FLOW, OTHER_FLOW, {**FLOW, "vph": 30.0}]},
+                     "flows[2]: the origin/destination pair", id="flows-pair-repeats"),
+        pytest.param("simulate", {"scenario_file": {"flows": [FLOW, {**FLOW, "vph": 30.0}]}},
+                     "scenario.json: flows[1]: the origin/destination pair",
+                     id="scenario-file-pair-repeats"),
+        pytest.param("twin", program({"start": 0.0, "flows": [FLOW, {**FLOW, "vph": 30.0}]}),
+                     "twin.demand_program[0].flows[1]: the origin/destination pair",
+                     id="program-pair-repeats"),
     ],
 )
 def test_invalid_demand_exit_2(tmp_path, capsys, command, extra, field):

@@ -55,8 +55,13 @@ HORIZON = 600.0
 def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario, data):
     net = build_grid(rows, cols, 300.0, 2, 60.0, 13.89)
     flows = list(scenario_catalog(60.0, 0.25, net.straight_od_pairs())[scenario - 1].flows)
-    # Turning flows exercise the left-turn pockets and permissive lefts.
-    pairs = [(o, d) for o in net.peripheral_entries() for d in net.peripheral_exits()]
+    # Turning flows exercise the left-turn pockets and permissive lefts; a
+    # pair may appear in one flow only.
+    straight = set(net.straight_od_pairs())
+    pairs = [
+        (o, d) for o in net.peripheral_entries() for d in net.peripheral_exits()
+        if (o, d) not in straight
+    ]
     for origin, destination in data.draw(
         st.lists(st.sampled_from(pairs), max_size=4, unique=True), label="turning"
     ):

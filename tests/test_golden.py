@@ -36,6 +36,26 @@ TWIN_CONFIG = {
     "twin": {"factors": [0.8, 1.0, 1.2], "period": 300.0,
              "job_horizon": 450.0, "job_warmup": 150.0},
 }
+# Origin/destination pairs on BASE_CONFIG's grid, whose subject is n1-1:
+# north through the subject; east, turning north at the subject to the same
+# exit; east along row 2, turning north at n2-1 to that exit again; east
+# along row 2; north along column 0; west, turning south at n0-2.
+TURNING_PAIRS = (
+    ("bs-1:n0-1", "n2-1:bn-1"),
+    ("bw-1:n1-0", "n2-1:bn-1"),
+    ("bw-2:n2-0", "n2-1:bn-1"),
+    ("bw-2:n2-0", "n2-2:be-2"),
+    ("bs-0:n0-0", "n2-0:bn-0"),
+    ("be-0:n0-2", "n0-2:bs-2"),
+)
+
+
+def turning_phase(start: float, rates: tuple[float, ...]) -> dict:
+    """A demand-program phase of TURNING_PAIRS at ``rates`` (vph)."""
+    flows = [{"origin": o, "destination": d, "vph": v} for (o, d), v in zip(TURNING_PAIRS, rates)]
+    return {"start": start, "flows": flows}
+
+
 RUN_ARTIFACTS = (
     "trajectory.csv", "signals.csv", "summary.json", "report.json",
     "network.json", "departures.csv", "config.json",
@@ -71,6 +91,19 @@ CASES = {
     # Two periods whose jobs run in one pool of two worker processes.
     "twin-s2-p2": (
         {**TWIN_CONFIG, "horizon": 900.0, "parallelism": 2},
+        ("twin", "report"),
+        RUN_ARTIFACTS + ("twin_manifest.json",),
+    ),
+    # Turning flows at parallelism 2.  The subject's slice holds the two
+    # pairs through the subject, the third, which shares only their exit
+    # segment, and the fourth, which shares only its first two segments
+    # with the third; the last two pairs are outside it.
+    "twin-turns-p2": (
+        {**TWIN_CONFIG, "horizon": 900.0, "parallelism": 2,
+         "twin": {**TWIN_CONFIG["twin"], "demand_program": [
+             turning_phase(0.0, (200.0, 150.0, 120.0, 180.0, 100.0, 90.0)),
+             turning_phase(450.0, (300.0, 200.0, 180.0, 120.0, 150.0, 140.0)),
+         ]}},
         ("twin", "report"),
         RUN_ARTIFACTS + ("twin_manifest.json",),
     ),

@@ -6,15 +6,20 @@ import random
 
 import pytest
 
+from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
+
+from signaltwin.controllers import ALGORITHMS
 from signaltwin.network import build_grid
-from signaltwin.traffic import Flow, SimClock, Simulation, VehicleParams
+from signaltwin.traffic import DEPARTURE_MODES, Flow, SimClock, Simulation, VehicleParams
 from signaltwin.twin import (
     TWIN_DIMENSION_KEYS,
     DemandEstimate,
     DemandPhase,
     SimulationJob,
     TwinSettings,
+    _subject_flows,
     build_live_schedule,
+    check_demand_program,
     default_dimensions,
     estimate_demand,
     forecast_demands,
@@ -28,6 +33,14 @@ from signaltwin.twin import (
 @pytest.fixture(scope="module")
 def grid3():
     return build_grid(3, 3, 650.0, 2, 80.0, 13.89)
+
+
+# Origin/destination pairs on a 3 x 3 grid, whose subject is n1-1.
+THROUGH = ("bs-1:n0-1", "n2-1:bn-1")  # north through the subject
+JOINING = ("bw-2:n2-0", "n2-1:bn-1")  # east, then north at n2-1 onto THROUGH's exit
+ALONG_ROW_2 = ("bw-2:n2-0", "n2-2:be-2")  # shares JOINING's first two segments
+COLUMN_0 = ("bs-0:n0-0", "n2-0:bn-0")  # north along column 0
+TURN_AT_N0_2 = ("be-0:n0-2", "n0-2:bs-2")  # west, then south at n0-2
 
 
 def make_jobs(grid, vphs, horizon=900.0, warmup=300.0):
@@ -233,9 +246,11 @@ def test_live_loop_jobs_use_the_departure_mode(grid3, monkeypatch):
     clock = SimClock(dt=1.0, horizon=900.0, warmup=100.0, cooldown=100.0)
     manifest, _, _ = live_loop(grid3, program, settings, seed=9, clock=clock)
     n_jobs = sum(len(p["jobs"]) for p in manifest["periods"])
-    # One call per flow for the live run and for each of the 18 jobs.
+    # One call per flow for the live run, and per kept flow for each of the
+    # 18 jobs: only the middle row's pair among the four enters the subject.
     assert n_jobs == 18
-    assert modes == ["uniform"] * len(ods) * (1 + n_jobs)
+    assert _subject_flows(grid3, ods) == [1]
+    assert modes == ["uniform"] * (len(ods) + n_jobs)
 
 
 @pytest.mark.parametrize(
@@ -420,7 +435,7 @@ def test_live_loop_single_candidate_matches_index_zero(grid3):
 
 def test_live_loop_estimates_every_od_pair(grid3):
     # A last flow that never departs keeps its entry in the estimate and
-    # in every candidate, so the jobs run every flow of the program.
+    # in every candidate, so candidates index the flows of the program.
     ods = grid3.straight_od_pairs()[:4]
     program = [DemandPhase(0.0, tuple(Flow(o, d, 80.0 * (i < 3)) for i, (o, d) in enumerate(ods)))]
     settings = TwinSettings(factors=(0.8, 1.0), period=300.0, job_horizon=300.0,
@@ -431,6 +446,111 @@ def test_live_loop_estimates_every_od_pair(grid3):
     for period in manifest["periods"]:
         assert len(period["measured_vph"]) == 4 and period["measured_vph"][3] == 0.0
         assert [len(c) for c in period["candidates"]] == [4, 4]
+
+
+def test_subject_flows_of_the_straight_pairs_are_the_two_corridors():
+    grid = build_grid(3, 3)
+    ods = grid.straight_od_pairs()
+    kept = _subject_flows(grid, ods)
+    assert kept == [1, 4, 7, 10]
+    # The middle row and the middle column, in both directions.
+    assert {ods[i][0] for i in kept} == {"be-1:n1-2", "bw-1:n1-0", "bn-1:n2-1", "bs-1:n0-1"}
+
+
+def test_subject_flows_keep_a_pair_that_shares_only_a_downstream_segment(grid3):
+    assert _subject_flows(grid3, [COLUMN_0, JOINING, THROUGH]) == [1, 2]
+    # ALONG_ROW_2 joins through JOINING, which is kept only after it is seen.
+    assert _subject_flows(grid3, [ALONG_ROW_2, COLUMN_0, JOINING, THROUGH]) == [0, 2, 3]
+
+
+def test_subject_flows_keep_an_unroutable_pair(grid3):
+    # Kept so that a job fails on it as it would on every flow.
+    ods = [COLUMN_0, ("missing:origin", "n1-2:be-1"), ("n0-0:n0-1", "n2-1:bn-1")]
+    assert _subject_flows(grid3, ods) == [1, 2]
+
+
+def test_subject_flows_of_no_pairs(grid3):
+    assert _subject_flows(grid3, []) == []
+
+
+def test_live_loop_jobs_run_the_subject_slice_at_the_candidate_rates(grid3, monkeypatch):
+    import signaltwin.twin as twin
+
+    batches = []
+    run = twin.run_parallel
+
+    def recording(network, jobs, *args):
+        batches.append(jobs)
+        return run(network, jobs, *args)
+
+    monkeypatch.setattr(twin, "run_parallel", recording)
+    ods = [COLUMN_0, THROUGH, TURN_AT_N0_2, JOINING]
+    program = [DemandPhase(0.0, tuple(Flow(o, d, 120.0, 1.5) for o, d in ods))]
+    settings = TwinSettings(factors=(0.8, 1.2), period=300.0, job_horizon=300.0,
+                            job_warmup=100.0)
+    clock = SimClock(dt=1.0, horizon=900.0, warmup=100.0, cooldown=100.0)
+    manifest, _, _ = live_loop(grid3, program, settings, seed=4, clock=clock)
+    assert len(batches) == len(manifest["periods"]) == 2
+    for jobs, period in zip(batches, manifest["periods"]):
+        assert len(jobs) == 6
+        for job in jobs:
+            rates = period["candidates"][job.candidate_index]
+            assert job.flows == tuple(Flow(*ods[i], rates[i], 1.5) for i in (1, 3))
+
+
+@hsettings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    rows=st.integers(min_value=2, max_value=4),
+    cols=st.integers(min_value=2, max_value=4),
+    lanes=st.integers(min_value=1, max_value=2),
+    segment_length=st.sampled_from([120.0, 250.0, 400.0]),
+    pocket_length=st.sampled_from([20.0, 60.0]),
+    dt=st.sampled_from([0.5, 1.0]),
+    algorithm=st.sampled_from(ALGORITHMS),
+    departure_mode=st.sampled_from(DEPARTURE_MODES),
+    carryover_turns=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
+)
+def test_a_job_on_the_subject_slice_matches_the_job_on_every_flow(
+    rows, cols, lanes, segment_length, pocket_length, dt, algorithm, departure_mode,
+    carryover_turns, seed, data,
+):
+    net = build_grid(rows, cols, segment_length, lanes, pocket_length, 13.89)
+    pairs = [(o, d) for o in net.peripheral_entries() for d in net.peripheral_exits()]
+    ods = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True),
+                    label="ods")
+    # Up to 1800 vph a flow, which spills back over short one-lane segments.
+    rates = st.sampled_from([0.0, 150.0, 900.0, 1800.0])
+    flows = [Flow(o, d, data.draw(rates, label="vph")) for o, d in ods]
+
+    def at_the_subject(job_flows):
+        sim = Simulation(
+            net, flows=job_flows, algorithm=algorithm, seed=seed,
+            clock=SimClock(dt=dt, horizon=300.0, warmup=0.0, cooldown=0.0),
+            departure_mode=departure_mode, carryover_turns=carryover_turns,
+        )
+        result = sim.run()
+        phases = [row for row in sim.signal_log if row[1] == net.subject_intersection]
+        return result.control_delays, result.movement_stopped_delays, phases
+
+    sliced = [flows[i] for i in _subject_flows(net, ods)]
+    assert at_the_subject(sliced) == at_the_subject(flows)
+
+
+@pytest.mark.parametrize(
+    "refuse, where",
+    [
+        pytest.param(lambda grid, flows: Simulation(grid, flows=flows), "", id="simulation"),
+        pytest.param(lambda grid, flows: check_demand_program([DemandPhase(0.0, flows)]),
+                     r"demand_program\[0\]\.", id="demand-program"),
+    ],
+)
+def test_a_repeated_origin_destination_pair_is_refused(grid3, refuse, where):
+    # Two flows of one pair would draw one random stream and depart in lockstep.
+    flows = (Flow(*THROUGH, 60.0), Flow(*COLUMN_0, 60.0), Flow(*THROUGH, 90.0))
+    with pytest.raises(ValueError, match=rf"^{where}flows\[2\]: .* repeats {where}flows\[0\]$"):
+        refuse(grid3, flows)
 
 
 def test_live_loop_stable_selection_swaps_once(grid3):
