@@ -10,6 +10,7 @@ artifact byte for byte.  Exit codes: 0 ok, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import heapq
 import inspect
 import itertools
 import json
@@ -17,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import metrics
 from .checks import ConfigError, _checked, _is_finite, _typed
@@ -25,20 +26,32 @@ from .controllers import ALGORITHMS, validate_algorithm
 from .network import Network, build_grid, load_network, save_network
 from .traffic import (
     DEPARTURE_MODES,
+    DepartureRow,
     Flow,
     SimClock,
     Simulation,
     SimulationResult,
+    Vehicle,
     VehicleParams,
     _check_distinct_pairs,
+    departure_rows,
     scenario_catalog,
 )
-from .twin import DemandPhase, TwinSettings, check_demand_program, check_settings, live_loop
+from .twin import (
+    DemandPhase,
+    TwinSettings,
+    _subject_flows,
+    check_demand_program,
+    check_settings,
+    live_loop,
+)
 
 SUMMARY_SCHEMA_VERSION = 1
 
 TRAJECTORY_HEADER = "t,vehicle_id,segment_id,position,speed,waiting,accumulated_waiting\n"
 _TRAJECTORY_COLUMNS = TRAJECTORY_HEADER.count(",") + 1
+# The header line ends, as a row may, in "\n" or "\r\n".
+_TRAJECTORY_HEADERS = (TRAJECTORY_HEADER.encode(), TRAJECTORY_HEADER[:-1].encode() + b"\r\n")
 SIGNALS_HEADER = "t,intersection_id,phase,stage,green_elapsed\n"
 DEPARTURES_HEADER = "vehicle_id,depart_time,origin,destination,route\n"
 
@@ -280,20 +293,35 @@ def _run_directory(out_dir: Path, config: RunConfig) -> Iterator[Callable[[str],
         yield fh.write
 
 
+class _Departure(NamedTuple):
+    """The fields of a ``Vehicle`` that its run directory records, and
+    that ``compare`` keeps of the rest's vehicles."""
+
+    depart_time: float
+    flow_index: int
+    vid: str
+    route: tuple[str, ...]
+
+
 def _write_run_artifacts(
-    out_dir: Path, config: RunConfig, network: Network, sim: Simulation, result: SimulationResult
+    out_dir: Path,
+    config: RunConfig,
+    network: Network,
+    departures: Iterable[Vehicle | _Departure],
+    signal_lines: Iterable[str],
+    result: SimulationResult,
 ) -> None:
     """Write config, network, departures, signals and summary of a run."""
     _write_json(config.to_dict(), out_dir / "config.json")
     save_network(network, out_dir / "network.json")
     with open(out_dir / "departures.csv", "w", newline="") as fh:
         fh.write(DEPARTURES_HEADER)
-        for veh in sim.departure_schedule:
+        for veh in departures:
             route = veh.route
             fh.write(f"{veh.vid},{veh.depart_time!r},{route[0]},{route[-1]},{'|'.join(route)}\n")
     with open(out_dir / "signals.csv", "w", newline="") as fh:
         fh.write(SIGNALS_HEADER)
-        fh.writelines(sim.signal_lines())
+        fh.writelines(signal_lines)
     _write_json(summary_dict(result, network), out_dir / "summary.json")
 
 
@@ -309,8 +337,103 @@ def run_one_simulation(run: _Resolved, algorithm: str, out_dir: Path) -> Simulat
         )
         result = sim.run()
     config = replace(config, algorithms=(algorithm,))
-    _write_run_artifacts(out_dir, config, run.network, sim, result)
+    _write_run_artifacts(out_dir, config, run.network, sim.departure_schedule,
+                         sim.signal_lines(), result)
     return result
+
+
+class _Rest(NamedTuple):
+    """What ``compare`` keeps of its one run of the flows outside the
+    subject's slice: the departures, each flow's insertion times and the
+    result, of which only the counts are read."""
+
+    departures: list[_Departure]
+    insertions: list[list[float]]
+    result: SimulationResult
+
+
+def _slice_and_rest(run: _Resolved) -> tuple[list[DepartureRow], _Rest]:
+    """The departure rows of the subject's slice of ``run``'s flows, and
+    the run of the rest.
+
+    The rest never meets the slice or the subject's signal (see
+    ``twin._subject_flows``), so it moves the same under every algorithm.
+    A logged trajectory interleaves the two parts within each step, so
+    then the slice is every flow and the rest is empty.  Rows keep their
+    flow index, so vehicle ids are those of a run of every flow.
+    """
+    config = run.config
+    rows = departure_rows(run.flows, run.clock.horizon, config.seed, config.departure_mode)
+    ods = [(f.origin, f.destination) for f in run.flows]
+    sliced = set(range(len(ods)) if config.log_trajectory else _subject_flows(run.network, ods))
+    sim = Simulation(
+        run.network, schedule=[r for r in rows if r[1] not in sliced], seed=config.seed,
+        clock=run.clock, vehicle=run.vehicle, carryover_turns=config.carryover_turns,
+    )
+    rows = [r for r in rows if r[1] in sliced]  # frees the rest's rows before its run
+    result = sim.run()
+    departures = [
+        _Departure(v.depart_time, v.flow_index, v.vid, v.route) for v in sim.departure_schedule
+    ]
+    return rows, _Rest(departures, sim.flow_insertions, result)
+
+
+def _run_slice(
+    run: _Resolved, algorithm: str, rows: list[DepartureRow], rest: _Rest, out_dir: Path
+) -> SimulationResult:
+    """Run ``algorithm`` on the slice's departure ``rows``, and write its
+    run directory as a run of every flow writes it, adding ``rest``."""
+    config = run.config
+    with _run_directory(out_dir, config) as sink:
+        sim = Simulation(
+            run.network, schedule=rows, algorithm=algorithm, seed=config.seed,
+            clock=run.clock, vehicle=run.vehicle, carryover_turns=config.carryover_turns,
+            scenario_id=run.scenario_id, trajectory_sink=sink,
+        )
+        sim.run()
+    departures, result = _with_rest(sim, rest)
+    config = replace(config, algorithms=(algorithm,))
+    _write_run_artifacts(out_dir, config, run.network, departures, sim.signal_lines(), result)
+    return result
+
+
+def _with_rest(
+    sim: Simulation, rest: _Rest
+) -> tuple[list[Vehicle | _Departure], SimulationResult]:
+    """The departures and result of a run of every flow, from ``sim``, a
+    finished run of the slice, and ``rest``.
+
+    The mean departure delay is summed again in the order that the run of
+    every flow inserts: by step, then by origin in the order of its first
+    departure, then in its queue's order, which is departure order.  Each
+    flow departs from one origin and inserts in departure order, so its
+    n-th insertion time belongs to its n-th departure.
+    """
+    departures = list(heapq.merge(
+        sim.departure_schedule, rest.departures, key=lambda v: (v.depart_time, v.flow_index)
+    ))
+    # Each flow's insertion times, from whichever run ran it.
+    pending = [iter(ours or theirs) for ours, theirs in itertools.zip_longest(
+        sim.flow_insertions, rest.insertions, fillvalue=[]
+    )]
+    origin_rank: dict[str, int] = {}
+    delays = []
+    for pos, veh in enumerate(departures):
+        rank = origin_rank.setdefault(veh.route[0], len(origin_rank))
+        if (t := next(pending[veh.flow_index], None)) is not None:
+            delays.append((t, rank, pos, t - veh.depart_time))
+    delay_sum = 0.0
+    for *_, delay in sorted(delays):
+        delay_sum += delay
+    ours, theirs = sim.result(), rest.result
+    inserted = ours.inserted + theirs.inserted
+    return departures, replace(
+        ours,
+        inserted=inserted,
+        exited=ours.exited + theirs.exited,
+        deferred_insertions=ours.deferred_insertions + theirs.deferred_insertions,
+        mean_depart_delay=delay_sum / inserted if inserted else 0.0,
+    )
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -332,7 +455,8 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_compare(config: RunConfig) -> int:
     run = _resolve(config, "compare")
     out_dir = Path(config.out)
-    results = {t: run_one_simulation(run, t, out_dir / t) for t in config.algorithms}
+    rows, rest = _slice_and_rest(run)
+    results = {t: _run_slice(run, t, rows, rest, out_dir / t) for t in config.algorithms}
     report = metrics.compare(results)
     metrics.write_comparison_csv(report, out_dir / "comparison.csv")
     metrics.write_comparison_json(report, out_dir / "comparison.json")
@@ -361,7 +485,8 @@ def cmd_twin(config: RunConfig) -> int:
             carryover_turns=config.carryover_turns,
             trajectory_sink=sink,
         )
-    _write_run_artifacts(out_dir, config, run.network, sim, result)
+    _write_run_artifacts(out_dir, config, run.network, sim.departure_schedule,
+                         sim.signal_lines(), result)
     _write_json(manifest, out_dir / "twin_manifest.json")
     degraded = sum(1 for p in manifest["periods"] if p["degraded"])
     if degraded:
@@ -422,15 +547,15 @@ def _run_json(path: Path) -> dict:
 def _trajectory_rows(path: Path) -> Iterator[list[bytes]]:
     """The data rows of a trajectory log as split, unconverted bytes fields.
 
-    Checks the header, and that each row is UTF-8 text of seven columns
-    ending in ``\n`` or ``\r\n``; the last field keeps its line end,
-    which ``float`` ignores.  Rows are split a block of lines at a time;
-    8 KiB blocks (about 200 rows) keep each block's lists below the
-    garbage collector's youngest-generation threshold, which measured
-    faster than both per-line splitting and 64 KiB blocks.  Splitting
-    bytes, not decoded text, measured faster still; only a block that is
-    not plain ASCII, holds a carriage return or has a row of the wrong
-    width is looked at line by line.
+    Checks the header, and that each row is UTF-8 text of seven columns;
+    the header and each row end in ``\n`` or ``\r\n``.  A row's last
+    field keeps its line end, which ``float`` ignores.  Rows are split a
+    block of lines at a time; 8 KiB blocks (about 200 rows) keep each
+    block's lists below the garbage collector's youngest-generation
+    threshold, which measured faster than both per-line splitting and
+    64 KiB blocks.  Splitting bytes, not decoded text, measured faster
+    still; only a block that is not plain ASCII, holds a carriage return
+    or has a row of the wrong width is looked at line by line.
     """
     return itertools.chain.from_iterable(_trajectory_blocks(path))
 
@@ -438,7 +563,7 @@ def _trajectory_rows(path: Path) -> Iterator[list[bytes]]:
 def _trajectory_blocks(path: Path) -> Iterator[list[list[bytes]]]:
     with open(path, "rb") as fh:
         header = fh.readline()
-        if header != TRAJECTORY_HEADER.encode():
+        if header not in _TRAJECTORY_HEADERS:
             raise ConfigError(
                 f"{path} line 1: header must be {TRAJECTORY_HEADER!r}, "
                 f"got {header.decode(errors='backslashreplace')!r}"

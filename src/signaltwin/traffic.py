@@ -56,12 +56,6 @@ from .signals import (
     _exact_steps,
 )
 
-SCENARIO_CLASS_BY_ID = {
-    1: "low", 2: "low", 3: "low",
-    4: "moderate", 5: "moderate", 6: "moderate", 7: "moderate",
-    8: "high", 9: "high", 10: "high", 11: "high",
-}
-
 # Distance to the stop line at which a stopping vehicle comes to rest.
 STOP_LINE_MARGIN = 1.0
 
@@ -144,12 +138,8 @@ class DemandScenario:
     flows: tuple[Flow, ...]
 
     def __post_init__(self) -> None:
-        if self.scenario_id not in SCENARIO_CLASS_BY_ID:
+        if self.scenario_id not in range(1, 12):
             raise ValueError(f"scenario_id must be 1..11, got {self.scenario_id}")
-
-    @property
-    def demand_class(self) -> str:
-        return SCENARIO_CLASS_BY_ID[self.scenario_id]
 
 
 @dataclass(frozen=True)
@@ -988,11 +978,6 @@ class Simulation:
 
     def vehicles_on_network(self) -> int:
         return sum(st.vehicle_count() for st in self._state_list)
-
-    def iter_vehicles(self) -> Iterable[Vehicle]:
-        for st in self._state_list:
-            for lane in st.sweep:
-                yield from lane
 
     def result(self) -> SimulationResult:
         lo, hi = self.clock.window

@@ -326,7 +326,9 @@ def _subject_flows(network: Network, ods: Sequence[tuple[str, str]]) -> list[int
     slice: every pair whose route enters the subject intersection, then
     every pair whose route shares a segment with a kept pair, until none is
     added.  A pair that ``shortest_path`` refuses is kept, so that a job
-    fails on it as it would on every flow.
+    fails on it as it would on every flow.  ``live_loop`` runs each job on
+    the slice alone; ``cli.cmd_compare`` runs the pairs outside it once
+    and the slice once per algorithm.
 
     The slice is exact.  A vehicle reads only its lane leader, its
     segment's pocket tail, its signal and the lanes of the segment it
@@ -334,7 +336,8 @@ def _subject_flows(network: Network, ods: Sequence[tuple[str, str]]) -> list[int
     the subject's signal only on the vehicles on its approaches.  Every
     vehicle on a segment of a kept route belongs to a kept pair, and each
     flow draws its departures from its own stream, so the kept vehicles
-    move as they do among all the flows.
+    move as they do among all the flows.  So do the others, which never
+    meet a kept vehicle or the subject's signal, under every controller.
     """
     routes: list[frozenset[str] | None] = []
     for origin, destination in ods:

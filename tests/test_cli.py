@@ -1,12 +1,16 @@
 """Command-line workflows and artifact determinism."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from signaltwin.cli import RunConfig, _resolve, main, read_trajectory
 from signaltwin.network import build_grid, load_network, save_network
+from signaltwin.traffic import DEPARTURE_MODES
+from test_golden import TURNING_PAIRS
 
 
 def run_cli(*args):
@@ -119,6 +123,46 @@ def test_compare_needs_baseline(tmp_path):
     cfg = small_config(tmp_path)
     assert run_cli("compare", "--config", str(cfg), "--algorithm", "dt1,dt2",
                    "--out", str(tmp_path / "x")) == 2
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    lane_count=st.integers(min_value=1, max_value=2),
+    # From free flow to queues that spill back to the origins.
+    base_vph=st.floats(min_value=20.0, max_value=1800.0),
+    dt=st.sampled_from([0.5, 1.0]),
+    departure_mode=st.sampled_from(DEPARTURE_MODES),
+    carryover_turns=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    # None: scenario 1, the straight pairs; else turning pairs, in any order.
+    turning=st.none() | st.lists(st.sampled_from(TURNING_PAIRS), min_size=1, unique=True),
+)
+def test_compare_writes_each_run_as_simulate_does(
+    lane_count, base_vph, dt, departure_mode, carryover_turns, seed, turning,
+):
+    # compare runs the rest of the network once and the subject's slice per
+    # algorithm; each run directory must still be simulate's, byte for byte.
+    algorithms = ("baseline", "dt1", "dt2")
+    demand = ({"scenario": 1} if turning is None else
+              {"flows": [{"origin": o, "destination": d, "vph": base_vph} for o, d in turning]})
+    config = {
+        "network": {"rows": 3, "cols": 3, "segment_length": 250.0, "lane_count": lane_count,
+                    "pocket_length": 60.0, "free_flow_speed": 13.89},
+        "horizon": 300.0, "warmup": 60.0, "cooldown": 60.0, "base_vph": base_vph, "dt": dt,
+        "departure_mode": departure_mode, "carryover_turns": carryover_turns, "seed": seed,
+        "log_trajectory": False, "algorithms": list(algorithms), **demand,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("compare", "--config", str(cfg), "--out", f"{tmp}/cmp") == 0
+        for algo in algorithms:
+            out = f"{tmp}/{algo}"
+            assert run_cli("simulate", "--config", str(cfg), "--algorithm", algo,
+                           "--out", out) == 0
+            for name in ("summary.json", "signals.csv", "departures.csv"):
+                ours = Path(tmp, "cmp", algo, name).read_bytes()
+                assert ours == Path(out, name).read_bytes(), (algo, name)
 
 
 def test_twin_job_counts_single_period(tmp_path):

@@ -60,6 +60,9 @@ RUN_ARTIFACTS = (
     "trajectory.csv", "signals.csv", "summary.json", "report.json",
     "network.json", "departures.csv", "config.json",
 )
+# In place of a list of artifacts: every file the commands write.
+EVERY_FILE = None
+COMPARE = {"algorithms": ["baseline", "dt1", "dt2"]}
 # config.json records the output directory, which differs between runs.
 OUT_PLACEHOLDER = "<out>"
 
@@ -107,6 +110,28 @@ CASES = {
         ("twin", "report"),
         RUN_ARTIFACTS + ("twin_manifest.json",),
     ),
+    # compare runs the flows outside the subject's slice once, and the
+    # slice once per algorithm.
+    "compare-s9": (
+        {**BASE_CONFIG, **COMPARE, "scenario": 9, "log_trajectory": False},
+        ("compare",),
+        EVERY_FILE,
+    ),
+    # Four turning pairs in the slice and two outside it, on two lanes, at
+    # rates that leave vehicles waiting at their origins, in both parts.
+    "compare-turns-2lane": (
+        {**BASE_CONFIG, **COMPARE, "log_trajectory": False,
+         "network": {**BASE_CONFIG["network"], "lane_count": 2},
+         "flows": turning_phase(0.0, (3000.0, 2400.0, 1500.0, 2400.0, 3600.0, 3600.0))["flows"]},
+        ("compare",),
+        EVERY_FILE,
+    ),
+    # A compare that logs its trajectory runs every flow per algorithm.
+    "compare-s3-trajectory": (
+        {**BASE_CONFIG, **COMPARE, "scenario": 3},
+        ("compare",),
+        EVERY_FILE,
+    ),
 }
 
 
@@ -117,12 +142,14 @@ def case_digests(name: str, work_dir: Path) -> dict[str, str]:
     cfg_path.write_text(json.dumps({**config, "out": str(out)}))
     for command in commands:
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0, command
+    if artifacts is EVERY_FILE:
+        artifacts = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     return {a: hashlib.sha256(_artifact_bytes(out, a)).hexdigest() for a in artifacts}
 
 
 def _artifact_bytes(out: Path, artifact: str) -> bytes:
     data = (out / artifact).read_bytes()
-    if artifact != "config.json":
+    if Path(artifact).name != "config.json":
         return data
     config = json.loads(data)
     assert config["out"] == str(out)

@@ -162,12 +162,13 @@ def test_report_rejects_wrong_header(good_run, tmp_path, capsys):
     assert "line 1" in err and "header" in err
 
 
-def test_report_rejects_crlf_header(good_run, tmp_path, capsys):
-    # Only data rows may end in "\r\n"; the message shows the line end.
+def test_report_rejects_a_carriage_return_before_the_header_end(good_run, tmp_path, capsys):
+    # The header may end in "\r\n", as a row may, but holds no other "\r";
+    # the message shows the line end.
     run = broken_copy(good_run, tmp_path,
-                      lambda lines: [lines[0].replace("\n", "\r\n")] + lines[1:])
+                      lambda lines: [lines[0].replace("\n", "\r\r\n")] + lines[1:])
     err = report_error(run, capsys)
-    assert "line 1" in err and "got 't,vehicle_id" in err and "\\r\\n'" in err
+    assert "line 1" in err and "got 't,vehicle_id" in err and "\\r\\r\\n'" in err
 
 
 def test_report_rejects_wrong_column_count(good_run, tmp_path, capsys):
@@ -284,6 +285,8 @@ def test_report_rejects_unreadable_line(good_run, tmp_path, capsys, edit, messag
         # The header keeps its "\n"; every data row ends in "\r\n".
         pytest.param(lambda data: data.replace(b"\n", b"\r\n").replace(b"\r\n", b"\n", 1),
                      id="crlf-row-ends"),
+        # As a CRLF checkout or editor leaves the file.
+        pytest.param(lambda data: data.replace(b"\n", b"\r\n"), id="crlf-throughout"),
         pytest.param(lambda data: data.removesuffix(b"\n"), id="no-final-newline"),
     ],
 )

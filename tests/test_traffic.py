@@ -25,6 +25,11 @@ def grid3():
     return build_grid(3, 3, 500.0, 2, 80.0, 13.89)
 
 
+def vehicles(sim):
+    """Every vehicle on the network, segment by segment in sweep order."""
+    return [veh for st in sim._state_list for lane in st.sweep for veh in lane]
+
+
 # -- departures ----------------------------------------------------------
 
 
@@ -97,13 +102,6 @@ def test_scenario_ladder_arithmetic():
     assert len(cat) == 11
 
 
-def test_scenario_class_mapping():
-    cat = scenario_catalog(100.0, 0.5, [("a", "b")])
-    assert cat[4].demand_class == "moderate"
-    assert [cat[k - 1].demand_class for k in (1, 2, 3)] == ["low"] * 3
-    assert [cat[k - 1].demand_class for k in (8, 9, 10, 11)] == ["high"] * 4
-
-
 def test_scenario_monotone_ordering():
     cat = scenario_catalog(40.0, 0.25, [("a", "b"), ("c", "d")])
     for prev, nxt in zip(cat, cat[1:]):
@@ -159,7 +157,7 @@ def test_speed_never_exceeds_free_flow():
     peak = 0.0
     for _ in range(60):
         sim.step()
-        for veh in sim.iter_vehicles():
+        for veh in vehicles(sim):
             assert 0.0 <= veh.speed <= 13.89 + 1e-12
             peak = max(peak, veh.speed)
     assert peak == pytest.approx(13.89)
@@ -176,7 +174,7 @@ def test_red_stop_keeps_vehicle_before_line():
         clock=SimClock(dt=1.0, horizon=120.0, warmup=0.0, cooldown=0.0),
     )
     sim.run_until(100.0)
-    eastbound = [v for v in sim.iter_vehicles() if v.vid == "f1.0"]
+    eastbound = [v for v in vehicles(sim) if v.vid == "f1.0"]
     assert eastbound, "vehicle left the network under red"
     veh = eastbound[0]
     assert veh.speed == 0.0
@@ -248,7 +246,7 @@ def test_trajectory_writer_matches_per_row_repr(grid3, monkeypatch, memo_limit):
         rows = [
             f"{t!r},{veh.vid},{veh.route[veh.route_index]},{veh.position!r},{veh.speed!r},"
             f"{veh.ledger.waiting!r},{veh.ledger.accumulated!r}\n"
-            for veh in self.iter_vehicles()
+            for veh in vehicles(self)
         ]
         reference.extend(rows)
         steps_with_rows[0] += bool(rows)
