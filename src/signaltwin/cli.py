@@ -359,18 +359,23 @@ def _slice_and_rest(run: _Resolved) -> tuple[list[DepartureRow], _Rest]:
     The rest never meets the slice or the subject's signal (see
     ``twin._subject_flows``), so it moves the same under every algorithm.
     A logged trajectory interleaves the two parts within each step, so
-    then the slice is every flow and the rest is empty.  Rows keep their
-    flow index, so vehicle ids are those of a run of every flow.
+    then the slice is every flow and the rest is empty.  An empty rest is
+    not run.  Rows keep their flow index, so vehicle ids are those of a
+    run of every flow.
     """
     config = run.config
     rows = departure_rows(run.flows, run.clock.horizon, config.seed, config.departure_mode)
     ods = [(f.origin, f.destination) for f in run.flows]
     sliced = set(range(len(ods)) if config.log_trajectory else _subject_flows(run.network, ods))
+    rest = [r for r in rows if r[1] not in sliced]
+    rows = [r for r in rows if r[1] in sliced]
+    if not rest:
+        return rows, _Rest([], [], SimulationResult("baseline", config.seed, None, run.clock.window))
     sim = Simulation(
-        run.network, schedule=[r for r in rows if r[1] not in sliced], seed=config.seed,
+        run.network, schedule=rest, seed=config.seed,
         clock=run.clock, vehicle=run.vehicle, carryover_turns=config.carryover_turns,
     )
-    rows = [r for r in rows if r[1] in sliced]  # frees the rest's rows before its run
+    del rest  # frees the rest's rows before its run
     result = sim.run()
     departures = [
         _Departure(v.depart_time, v.flow_index, v.vid, v.route) for v in sim.departure_schedule

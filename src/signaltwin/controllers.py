@@ -12,17 +12,20 @@ the previous approach for dt2.
 The eight values are a tuple in ``ALL_MOVEMENTS`` order, the index
 ``signals.MOVEMENT_INDEX`` that the engine's per-movement state also uses.
 
-So there is one ``decide``.  The observations are computed by the
-engine (``Simulation._decision_input``): they read its lanes and delay
-ledgers, so a separate observation layer here would still need all of
-the engine's state.  ``DECIDE_BY_ALGORITHM`` keeps one key per token for
-callers that look the rule up by algorithm.
+So there is one rule, ``chain_winner``.  The observations are computed
+by the engine (``Simulation._decision_values``): they read its lanes and
+delay ledgers, so a separate observation layer here would still need all
+of the engine's state.  The engine applies ``chain_winner`` to them
+directly; ``decide`` is the checked public form of the same rule, and
+``DECIDE_BY_ALGORITHM`` keeps one key per token for callers that look
+the rule up by algorithm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .network import ALL_MOVEMENTS, METERS_PER_MILE, Movement
 from .signals import GREEN_PHASE_FOR_MOVEMENT, MOVEMENT_INDEX, PHASE_MOVEMENTS
@@ -75,13 +78,24 @@ def meters_to_miles(length_m: float) -> float:
     return length_m / METERS_PER_MILE
 
 
+def chain_winner(values: Sequence[float]) -> int:
+    """The movement index with the largest of the eight ``values``; ties go
+    to the first movement in ``PHASE_MOVEMENTS`` chain order.  No value is
+    NaN (``DecisionInput`` refuses one)."""
+    best = max(values)
+    for index in _CHAIN_ORDER:
+        if values[index] == best:
+            return index
+    raise ValueError(f"no largest decision value in {values!r}")
+
+
 def decide(decision_input: DecisionInput) -> Decision:
     """Propose the green phase serving the movement with the largest value.
 
     Ties go to the first movement in ``PHASE_MOVEMENTS`` chain order.
     """
     values = decision_input.values
-    index = max(_CHAIN_ORDER, key=values.__getitem__)
+    index = chain_winner(values)
     return Decision(GREEN_PHASE_FOR_MOVEMENT[index], ALL_MOVEMENTS[index], values[index])
 
 

@@ -108,7 +108,8 @@ def approach_delays(
 ) -> tuple[tuple[float, ...], float]:
     """The per-vehicle delays of one approach and their average (0 when
     empty), under ``variant`` as in ``average_approach_delay``.  The
-    engine's dt1/dt2 decision values are these averages."""
+    engine's dt1/dt2 decision values equal these averages bit for bit:
+    it takes each the same way, a list of delays, then sum over length."""
     if variant == "dt1":
         delays = tuple(map(vehicle_delay_dt1, ledgers))
     elif variant == "dt2":

@@ -10,7 +10,9 @@ cadence once the green has run strictly longer than the 5 s minimum.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .network import ALL_MOVEMENTS, Movement
 
@@ -81,7 +83,11 @@ class ControllerTimer:
 
     Internally counts whole simulation steps so stage boundaries stay
     exact for any step length that divides one second cleanly.
-    ``tick`` must be called exactly once per simulation step.
+
+    Call ``tick`` once per simulation step, or only at the steps that
+    ``next_tick`` names: on every step before those a tick would only
+    count up, so the next tick counts the steps it is passed as
+    ``skipped`` first.
     """
 
     def __init__(self, dt: float = 1.0, initial_phase: int = 0) -> None:
@@ -104,6 +110,12 @@ class ControllerTimer:
     def green_elapsed(self) -> float:
         return self._green_steps * self.dt
 
+    @property
+    def green_steps(self) -> int:
+        """Steps the current green has displayed; in a transition, the
+        steps the green before it displayed."""
+        return self._green_steps
+
     def request_phase(self, proposed: int) -> "ControllerTimer":
         """Begin a transition toward ``proposed``; no-op if already there."""
         if proposed not in GREEN_PHASES:
@@ -120,13 +132,24 @@ class ControllerTimer:
         self._stage_steps = 0
         return self
 
-    def tick(self, step_index: int, decision_source: Callable[[], int] | None = None) -> int:
+    def tick(
+        self,
+        step_index: int,
+        decision_source: Callable[[], int] | None = None,
+        skipped: int = 0,
+    ) -> int:
         """Advance one step and return the phase displayed for it.
 
         ``decision_source`` is consulted only in a green stage, on the
         decision cadence, and once the green has displayed strictly
-        longer than the minimum green time.
+        longer than the minimum green time.  ``skipped`` is the number of
+        steps since the last tick that were not ticked; each counts up as
+        a tick before ``next_tick`` would have.
         """
+        if skipped:
+            self._stage_steps += skipped
+            if self.stage == STAGE_GREEN:
+                self._green_steps += skipped
         # Stage rollovers that fall due exactly now.
         if self.stage == STAGE_YELLOW and self._stage_steps >= self._yellow_steps:
             self.stage = STAGE_ALL_RED
@@ -155,6 +178,50 @@ class ControllerTimer:
         if self.stage == STAGE_GREEN:
             self._green_steps += 1
         return phase
+
+    def next_tick(self, step_index: int) -> int:
+        """The first step after ``step_index``, the step just ticked, whose
+        tick can roll the stage over or consult the decision source.
+
+        A transition rolls over once its stage has displayed its length.  A
+        green consults the source on the first decision step at which it
+        has displayed longer than the minimum: the green steps at the
+        start of step ``step_index + m`` are ``green_steps + m - 1``.
+        """
+        if self.stage == STAGE_YELLOW:
+            return step_index + 1 + self._yellow_steps - self._stage_steps
+        if self.stage == STAGE_ALL_RED:
+            return step_index + 1 + self._all_red_steps - self._stage_steps
+        eligible = max(step_index + 1, step_index + 2 + self._min_green_steps - self._green_steps)
+        return -(-eligible // self._decision_steps) * self._decision_steps
+
+
+def interval_rows(
+    log: Sequence[tuple[int, int, str, int]], dt: float, stop: int, start: int = 0
+) -> Iterator[tuple[int, str, float]]:
+    """The (phase, stage, green_elapsed) of each step in [start, stop) of a
+    timer whose display is logged as intervals.
+
+    Each ``log`` entry is (first step, phase, stage, green steps after that
+    step's tick), appended whenever the displayed phase changes; the first
+    entry's step is 0 and ``stop`` is after the last entry's.  A green
+    counts one green step per step, a transition holds the green steps of
+    the green before it, and ``green_elapsed`` is a whole number of steps
+    times ``dt``, as ``ControllerTimer.green_elapsed`` is.
+    """
+    if start >= stop:
+        return
+    i = bisect_right(log, start, key=itemgetter(0)) - 1
+    ends = [entry[0] for entry in log[i + 1:]]
+    ends.append(stop)
+    for (first, phase, stage, green), end in zip(log[i:], ends):
+        if stage == STAGE_GREEN:
+            for k in range(max(first, start), end):
+                yield phase, stage, (green + k - first) * dt
+        else:
+            row = (phase, stage, green * dt)
+            for _ in range(max(first, start), end):
+                yield row
 
 
 def _exact_steps(duration: float, dt: float, name: str) -> int:

@@ -24,18 +24,19 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .controllers import (
-    DECIDE_BY_ALGORITHM,
     DecisionInput,
+    chain_winner,
     meters_to_miles,
     validate_algorithm,
 )
 from .delay import (
     STOP_SPEED_THRESHOLD,
     DelayLedger,
-    approach_delays,
     on_approach_transition,
     segment_delay,
     update_waiting,
+    vehicle_delay_dt1,
+    vehicle_delay_dt2,
 )
 from .network import (
     ALL_MOVEMENTS,
@@ -51,9 +52,11 @@ from .signals import (
     ASPECTS_PERMISSIVE,
     ASPECTS_PROTECTED,
     DECISION_PERIOD,
+    GREEN_PHASE_FOR_MOVEMENT,
     MOVEMENT_INDEX,
     ControllerTimer,
     _exact_steps,
+    interval_rows,
 )
 
 # Distance to the stop line at which a stopping vehicle comes to rest.
@@ -210,12 +213,15 @@ class FixedPlan(NamedTuple):
 
     ``rows[i]`` is the (phase, stage, green_elapsed) that a fixed-time
     intersection logs for step ``i``.  The first ``prefix`` rows are run
-    once; the last ``cycle`` rows then repeat for ever.
+    once; the last ``cycle`` rows then repeat for ever.  ``runs[i]`` is
+    the number of steps from a step of row ``i`` to the next step whose
+    phase differs.
     """
 
     rows: tuple[tuple[int, str, float], ...]
     prefix: int
     cycle: int
+    runs: tuple[int, ...]
 
     def index(self, k: int) -> int:
         """The table row of step ``k``."""
@@ -247,7 +253,14 @@ def fixed_plan(dt: float) -> FixedPlan:
         rows.append((phase, timer.stage, timer.green_elapsed))
         k += 1
     prefix = first_seen[state]
-    return FixedPlan(tuple(rows), prefix, k - prefix)
+    # The phases of steps 0 to prefix + 2 * cycle: every run that starts
+    # in the table ends in them, as the cycle shows more than one phase.
+    phases = [row[0] for row in (*rows, *rows[prefix:])]
+    runs = [1] * len(phases)
+    for i in reversed(range(len(phases) - 1)):
+        if phases[i + 1] == phases[i]:
+            runs[i] = runs[i + 1] + 1
+    return FixedPlan(tuple(rows), prefix, k - prefix, tuple(runs[:k]))
 
 
 def stream_seed(seed: int, label: str) -> np.random.SeedSequence:
@@ -529,15 +542,22 @@ class Simulation:
         # The aspect row shown this step, indexed by MOVEMENT_INDEX, per
         # _SegmentState.signal: none, the subject's, the fixed plan's.
         self._aspect_rows: list[tuple[int, ...] | None] = [None, None, None]
-        # The subject's (phase, stage, green_elapsed) of each step, the shape
-        # of a fixed-plan row; signal_log adds the time, the node and the rest.
-        self._subject_log: list[tuple[int, str, float]] = []
+        # The subject's display as intervals, one (first step, phase, stage,
+        # green steps) entry per phase change (see signals.interval_rows);
+        # signal_log and signal_lines expand it.
+        self._subject_log: list[tuple[int, int, str, int]] = []
         self._signal_log: list[tuple[float, str, int, str, float]] = []
-        # Per subject approach: its state, its through and left movement
-        # indices, and the lane-miles of its through lanes and of its pocket.
+        # The steps at which _tick_signals acts next: the subject's next
+        # tick, the fixed plan's next phase change and the earlier of the
+        # two; and the step of the subject's last tick.
+        self._next_tick = self._next_fixed = self._next_signal = 0
+        self._last_tick = -1
+        # Per subject approach: its through lanes and its pocket, their
+        # movement indices, and their lane-miles.
         self._subject_approaches = tuple(
             (
-                st, MOVEMENT_INDEX[seg.movement], MOVEMENT_INDEX[seg.left_movement],
+                st.lanes, st.pocket,
+                MOVEMENT_INDEX[seg.movement], MOVEMENT_INDEX[seg.left_movement],
                 st.lane_count * meters_to_miles(st.length),
                 meters_to_miles(st.length - st.pocket_start),
             )
@@ -614,22 +634,41 @@ class Simulation:
                     }
                 )
                 self.algorithm = token
-        return DECIDE_BY_ALGORITHM[self.algorithm](self._decision_input()).proposed_phase
+        values = self._decision_values()
+        # DecisionInput's check, with a fast accept: min finds a negative
+        # value and the sum a NaN or an infinity.
+        if not (min(values) >= 0.0 and sum(values) < math.inf):
+            DecisionInput(tuple(values), self._subject_node, self.t)
+        return GREEN_PHASE_FOR_MOVEMENT[chain_winner(values)]
 
-    def _decision_input(self) -> DecisionInput:
-        values = [0.0] * len(ALL_MOVEMENTS)  # every slot is set below
+    def _decision_values(self) -> list[float]:
+        """The subject's eight observations under the current algorithm, in
+        ``MOVEMENT_INDEX`` order.
+
+        The baseline's are ``controllers.approach_density`` over lane-miles
+        computed once.  dt1's and dt2's are the mean of the approach's
+        per-vehicle delays, taken as ``delay.approach_delays`` takes it, so
+        that the floats agree.  Either is 0 on an empty approach, which
+        low-density runs meet often, so its slots are left at 0.0.
+        """
+        values = [0.0] * len(ALL_MOVEMENTS)
+        approaches = self._subject_approaches
         if self.algorithm == "baseline":
-            # controllers.approach_density, over lane-miles computed once.
-            for st, through, left, through_miles, pocket_miles in self._subject_approaches:
-                values[through] = sum(map(len, st.lanes)) / through_miles
-                values[left] = len(st.pocket) / pocket_miles
+            for lanes, pocket, through, left, through_miles, pocket_miles in approaches:
+                if any(lanes):
+                    values[through] = sum(map(len, lanes)) / through_miles
+                if pocket:
+                    values[left] = len(pocket) / pocket_miles
         else:
-            variant = self.algorithm
-            for st, through, left, _, _ in self._subject_approaches:
-                ledgers = (veh.ledger for lane in st.lanes for veh in lane)
-                values[through] = approach_delays(ledgers, variant)[1]
-                values[left] = approach_delays((veh.ledger for veh in st.pocket), variant)[1]
-        return DecisionInput(values=tuple(values), intersection=self._subject_node, time=self.t)
+            delay = vehicle_delay_dt1 if self.algorithm == "dt1" else vehicle_delay_dt2
+            for lanes, pocket, through, left, _, _ in approaches:
+                if any(lanes):
+                    delays = [delay(veh.ledger) for lane in lanes for veh in lane]
+                    values[through] = sum(delays) / len(delays)
+                if pocket:
+                    delays = [delay(veh.ledger) for veh in pocket]
+                    values[left] = sum(delays) / len(delays)
+        return values
 
     # -- stepping ------------------------------------------------------------
 
@@ -646,7 +685,8 @@ class Simulation:
         k = self._step_index
         t = k * self.dt
         self.t = t
-        self._insert_departures(t)
+        if t + 1e-9 >= self._next_due:
+            self._insert_departures(t)
         if self._traj_sink is not None:
             self._log_trajectory(t)
         self._tick_signals(k)
@@ -657,8 +697,6 @@ class Simulation:
     # -- insertion -----------------------------------------------------------
 
     def _insert_departures(self, t: float) -> None:
-        if t + 1e-9 < self._next_due:
-            return  # no origin has a departure due
         params = self.params
         min_entry = params.length + params.min_gap
         inserted_before = self.inserted
@@ -695,37 +733,59 @@ class Simulation:
     def _earliest_departure(self) -> float:
         """The earliest departure time still pending; inf if none is.
 
-        Only an insertion changes it, so ``_insert_departures`` refreshes
-        it after each step that inserts.  A due departure that its origin
-        blocks keeps it at or below the clock, so it is retried every step.
+        ``step`` calls ``_insert_departures`` only once the clock reaches
+        it.  Only an insertion changes it, so ``_insert_departures``
+        refreshes it after each step that inserts.  A due departure that
+        its origin blocks keeps it at or below the clock, so it is retried
+        every step.
         """
         return min((q[-1].depart_time for q in self._pending.values() if q), default=math.inf)
 
     # -- signals ---------------------------------------------------------------
 
     def _tick_signals(self, k: int) -> None:
-        timer = self._subject_timer
-        phase = timer.tick(k, self._subject_decision)
-        self._subject_log.append((phase, timer.stage, timer.green_elapsed))
+        """Set the aspect rows of step ``k``.
+
+        They change only at the fixed plan's phase changes and at the
+        subject's ticks, and the subject's timer is ticked only at the
+        steps its ``next_tick`` names; on every other step this returns at
+        once.
+        """
+        if k < self._next_signal:
+            return
         rows = self._aspect_rows
-        rows[_SUBJECT] = ASPECTS_PROTECTED[phase]
-        plan = self._plan
-        rows[_FIXED] = ASPECTS_PERMISSIVE[plan.rows[plan.index(k)][0]]
+        if k == self._next_fixed:
+            plan = self._plan
+            i = plan.index(k)
+            rows[_FIXED] = ASPECTS_PERMISSIVE[plan.rows[i][0]]
+            self._next_fixed = k + plan.runs[i]
+        if k == self._next_tick:
+            timer = self._subject_timer
+            phase = timer.tick(k, self._subject_decision, k - self._last_tick - 1)
+            log = self._subject_log
+            if not log or phase != log[-1][1]:
+                log.append((k, phase, timer.stage, timer.green_steps))
+                rows[_SUBJECT] = ASPECTS_PROTECTED[phase]
+            self._last_tick = k
+            self._next_tick = timer.next_tick(k)
+        self._next_signal = min(self._next_fixed, self._next_tick)
 
     @property
     def signal_log(self) -> list[tuple[float, str, int, str, float]]:
         """One (t, node, phase, stage, green_elapsed) row per intersection
         and step run so far, nodes in sorted order within a step.
 
-        Only the subject's rows are recorded as the run goes; the fixed
-        nodes' rows are rebuilt from the fixed-plan table when the log is
-        read.  The same list is returned on every read, extended by the
-        steps run since the last one; do not modify it.
+        Only the subject's phase changes are recorded as the run goes; its
+        rows are expanded from them and the fixed nodes' rows rebuilt from
+        the fixed-plan table when the log is read.  The same list is
+        returned on every read, extended by the steps run since the last
+        one; do not modify it.
         """
         log, nodes, plan = self._signal_log, self._signal_nodes, self._plan
         subject = self._subject_node
         start = len(log) // len(nodes)
-        for k, own in enumerate(self._subject_log[start:], start):
+        own_rows = interval_rows(self._subject_log, self.dt, self._step_index, start)
+        for k, own in enumerate(own_rows, start):
             fixed = plan.rows[plan.index(k)]
             t = k * self.dt
             log += [(t, node, *(own if node == subject else fixed)) for node in nodes]
@@ -752,7 +812,7 @@ class Simulation:
         ]
         subject = f",{self._subject_node},"
         memo: dict[tuple[int, str, float], str] = {}
-        for k, own in enumerate(self._subject_log):
+        for k, own in enumerate(interval_rows(self._subject_log, dt, self._step_index)):
             lines = fixed[plan.index(k)].copy()
             lines[at] = memo.get(own) or memo.setdefault(
                 own, f"{subject}{own[0]},{own[1]},{own[2]!r}\n"

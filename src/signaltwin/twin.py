@@ -38,14 +38,11 @@ from .traffic import (
 if TYPE_CHECKING:
     from concurrent.futures import Executor
 
-# The nine descriptive dimensions recorded in every run manifest:
-# physical entities, digital shadow, data, models, simulation, traffic
-# demand prediction, control algorithms, applications, and the
-# communication gateway.
-TWIN_DIMENSION_KEYS = ("PE", "DS", "DD", "MO", "SI", "TP", "CA", "AP", "CG")
-
-
 def default_dimensions() -> dict[str, str]:
+    """The nine descriptive dimensions recorded in every run manifest:
+    physical entities, digital shadow, data, models, simulation, traffic
+    demand prediction, control algorithms, applications, and the
+    communication gateway."""
     return {
         "PE": "live road network state owned by signaltwin.traffic.Simulation",
         "DS": "per-step vehicle and signal state mirrored into logs and the demand estimator",

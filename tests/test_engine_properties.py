@@ -10,6 +10,9 @@ visits, the table of the plan that every fixed-time intersection runs,
 against a standalone timer, and the per-vehicle fields the sweep reads in
 place of the route tables (the current stop-line movement and left-turn
 flag), and that a vehicle that crossed in a step is not moved again in it.
+Every decision of the subject's controller, under each algorithm, must
+equal ``controllers.decide`` over ``approach_density`` and
+``approach_delays``, which the engine computes in one pass of its own.
 No logged value is ever ``-0.0``, which the trajectory writer's repr memo
 could not tell from ``0.0``, and a vehicle's cached row key names its
 current segment: set back on every crossing, and cleared when it exits.
@@ -20,11 +23,17 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from signaltwin.controllers import ALGORITHMS, approach_density, meters_to_miles
+from signaltwin.controllers import (
+    ALGORITHMS,
+    DecisionInput,
+    approach_density,
+    decide,
+    meters_to_miles,
+)
 from signaltwin.delay import (
     DelayLedger,
     LedgerCorruptionError,
-    average_approach_delay,
+    approach_delays,
     update_waiting,
 )
 from signaltwin.network import ALL_MOVEMENTS, build_grid
@@ -40,6 +49,26 @@ from signaltwin.traffic import (
 )
 
 HORIZON = 600.0
+
+
+def _reference_values(sim):
+    """The subject's eight decision values under ``sim.algorithm``, from
+    ``approach_density`` and ``approach_delays``, in ``ALL_MOVEMENTS`` order."""
+    net = sim.network
+    values = {}
+    for seg_id in net.incoming(net.subject_intersection):
+        seg, state = net.segments[seg_id], sim._states[seg_id]
+        through = [veh.ledger for lane in state.lanes for veh in lane]
+        pocket = [veh.ledger for veh in state.pocket]
+        if sim.algorithm == "baseline":
+            values[seg.movement] = approach_density(
+                len(through), seg.lane_count, meters_to_miles(seg.length))
+            values[seg.left_movement] = approach_density(
+                len(pocket), 1, meters_to_miles(seg.length - seg.pocket_start))
+        else:
+            values[seg.movement] = approach_delays(through, sim.algorithm)[1]
+            values[seg.left_movement] = approach_delays(pocket, sim.algorithm)[1]
+    return tuple(values[m] for m in ALL_MOVEMENTS)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -94,11 +123,29 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
         return moved
 
     sim._cross = recording_cross
+    # Every decision equals decide() over the observation functions; the
+    # algorithm is swapped twice in the run, so each example runs all three.
+    decisions = {algorithm: 0 for algorithm in ALGORITHMS}
+    subject_decision = sim._subject_decision
+
+    def checked_decision():
+        phase = subject_decision()
+        expected = _reference_values(sim)
+        assert [v.hex() for v in sim._decision_values()] == [v.hex() for v in expected]
+        assert phase == decide(DecisionInput(expected)).proposed_phase
+        decisions[sim.algorithm] += 1
+        return phase
+
+    sim._subject_decision = checked_decision
+    swaps = {sim.clock.n_steps * i // 3: ALGORITHMS[(ALGORITHMS.index(algorithm) + i) % 3]
+             for i in (1, 2)}
     # A standalone timer running the fixed two-phase plan.
     fixed = ControllerTimer(dt)
     cycle, split = round(2 * FIXED_SPLIT / dt), round(FIXED_SPLIT / dt)
     nodes = sorted(net.nodes)
     for k in range(sim.clock.n_steps):
+        if k in swaps:
+            sim.set_algorithm(swaps[k])
         sim.step()
         assert sim.inserted - sim.exited == sim.vehicles_on_network()
         for veh, *state in crossed:
@@ -139,6 +186,7 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
                         assert x != 0.0 or math.copysign(1.0, x) > 0, (veh.vid, x)
                     assert veh.row_key in (None, f",{veh.vid},{state.seg_id},"), veh.vid
                     leader = veh
+    assert all(decisions.values()), decisions
     # A vehicle off the network, pending or exited, holds no row key.
     on_network = {veh.vid for state in sim._state_list for lane in state.sweep for veh in lane}
     for veh in sim.departure_schedule:
@@ -161,34 +209,20 @@ _ledgers = st.builds(
 )
 def test_decision_values_are_the_observation_functions(lane_count, length, pocket_share, data):
     # The engine divides by lane-miles computed once; each value must equal
-    # approach_density and average_approach_delay(...).average bit for bit.
+    # approach_density and approach_delays bit for bit.
     net = build_grid(3, 3, length, lane_count, length * pocket_share, 13.89)
     sim = Simulation(net, schedule=[], clock=SimClock(horizon=60.0, warmup=0.0, cooldown=0.0))
     params = VehicleParams()
-    expected = {algorithm: {} for algorithm in ALGORITHMS}
     for seg_id in net.incoming(net.subject_intersection):
-        seg, state = net.segments[seg_id], sim._states[seg_id]
-        for lane in state.sweep:
+        for lane in sim._states[seg_id].sweep:
             for ledger in data.draw(st.lists(_ledgers, max_size=6), label=seg_id):
                 veh = Vehicle(f"v{len(lane)}", (seg_id,), ("exit",), (0,), params, 0.0, 0.0)
                 veh.ledger = ledger
                 lane.append(veh)
-        through = [veh.ledger for lane in state.lanes for veh in lane]
-        pocket = [veh.ledger for veh in state.pocket]
-        expected["baseline"][seg.movement] = approach_density(
-            len(through), seg.lane_count, meters_to_miles(seg.length))
-        expected["baseline"][seg.left_movement] = approach_density(
-            len(pocket), 1, meters_to_miles(seg.length - seg.pocket_start))
-        for variant in ("dt1", "dt2"):
-            expected[variant][seg.movement] = average_approach_delay(
-                seg_id, through, variant).average
-            expected[variant][seg.left_movement] = average_approach_delay(
-                seg_id, pocket, variant).average
     for algorithm in ALGORITHMS:
         sim.algorithm = algorithm
-        values = sim._decision_input().values
-        assert [v.hex() for v in values] == [
-            expected[algorithm][m].hex() for m in ALL_MOVEMENTS
+        assert [v.hex() for v in sim._decision_values()] == [
+            v.hex() for v in _reference_values(sim)
         ], algorithm
 
 
@@ -203,4 +237,23 @@ def test_decision_input_refuses_a_corrupted_ledger(variant, in_pocket):
     veh.ledger = DelayLedger(accumulated=3.0, entry_accumulated=4.0)  # below entry
     (state.pocket if in_pocket else state.lanes[0]).append(veh)
     with pytest.raises(LedgerCorruptionError, match="below entry snapshot"):
-        sim._decision_input()
+        sim._decision_values()
+
+
+def test_a_corrupted_ledger_fails_the_step_that_decides():
+    # A vehicle held at a red light on a subject approach, with a ledger
+    # below its entry snapshot, fails the first decision (at step 10).
+    net = build_grid(3, 3, 300.0, 2, 60.0, 13.89)
+    sim = Simulation(net, schedule=[], algorithm="dt1",
+                     clock=SimClock(horizon=60.0, warmup=0.0, cooldown=0.0))
+    seg_id = next(s for s in net.incoming(net.subject_intersection)
+                  if net.segments[s].movement.value == "EBT")
+    state = sim._states[seg_id]
+    veh = Vehicle("v0", (seg_id,), ("exit",), (0,), VehicleParams(), 0.0, 0.0)
+    veh.ledger = DelayLedger(accumulated=3.0, entry_accumulated=1000.0)
+    state.lanes[0].append(veh)
+    sim._occupied.add(state.index)
+    for _ in range(10):
+        sim.step()
+    with pytest.raises(LedgerCorruptionError, match="below entry snapshot"):
+        sim.step()

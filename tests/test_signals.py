@@ -1,6 +1,7 @@
 """Phase table fidelity and transition interlocks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signaltwin.network import Movement
 from signaltwin.signals import (
@@ -14,6 +15,7 @@ from signaltwin.signals import (
     PHASE_MOVEMENTS,
     ControllerTimer,
     PhaseChangeRejected,
+    interval_rows,
     phase_for_movement,
 )
 
@@ -208,3 +210,62 @@ def test_timer_checks_dt_itself(dt):
     # A bad dt is named as dt, not as the first duration divided by it.
     with pytest.raises(ValueError, match=r"^dt must be a positive finite number"):
         ControllerTimer(dt)
+
+
+def _run_scripted(dt, initial, proposals, n_steps, on_events):
+    """Run a timer for ``n_steps`` steps whose source hands out ``proposals``
+    in turn, ticking every step or, if ``on_events``, only at the steps
+    ``next_tick`` names, as the engine does.  Returns each step's
+    (phase, stage, green_elapsed), the steps that consulted the source and
+    the number of ticks."""
+    timer = ControllerTimer(dt, initial)
+    calls = []
+
+    def source():
+        calls.append(k)
+        return proposals[(len(calls) - 1) % len(proposals)]
+
+    log, rows, ticks, last, next_k = [], [], 0, -1, 0
+    for k in range(n_steps):
+        if on_events and k < next_k:
+            continue
+        phase = timer.tick(k, source, k - last - 1)
+        ticks, last = ticks + 1, k
+        if on_events:
+            next_k = timer.next_tick(k)
+            if not log or phase != log[-1][1]:
+                log.append((k, phase, timer.stage, timer.green_steps))
+        else:
+            rows.append((phase, timer.stage, timer.green_elapsed))
+    if on_events:
+        rows = list(interval_rows(log, dt, n_steps))
+    return rows, calls, ticks
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dt=st.sampled_from([0.2, 0.25, 0.5, 1.0]),
+    initial=st.sampled_from(GREEN_PHASES),
+    proposals=st.lists(st.sampled_from(GREEN_PHASES), min_size=1, max_size=12),
+)
+def test_event_ticks_match_every_step_ticks(dt, initial, proposals):
+    # Proposals may repeat the phase shown, which starts no transition.
+    n_steps = round(240.0 / dt)
+    every_rows, every_calls, _ = _run_scripted(dt, initial, proposals, n_steps, False)
+    event_rows, event_calls, ticks = _run_scripted(dt, initial, proposals, n_steps, True)
+    assert event_calls == every_calls
+    assert len(event_rows) == n_steps
+    for k, (got, want) in enumerate(zip(event_rows, every_rows)):
+        assert got == want and got[2].hex() == want[2].hex(), k
+    assert ticks < n_steps // 2
+
+
+def test_interval_rows_from_a_later_start():
+    log = [(0, 0, "green", 1), (12, 1, "yellow", 12), (14, 8, "all_red", 12), (15, 6, "green", 1)]
+    rows = list(interval_rows(log, 0.5, 20))
+    assert rows[11:16] == [
+        (0, "green", 6.0), (1, "yellow", 6.0), (1, "yellow", 6.0), (8, "all_red", 6.0),
+        (6, "green", 0.5),
+    ]
+    for start in range(22):
+        assert list(interval_rows(log, 0.5, 20, start)) == rows[start:], start

@@ -12,7 +12,6 @@ from signaltwin.controllers import ALGORITHMS
 from signaltwin.network import build_grid
 from signaltwin.traffic import DEPARTURE_MODES, Flow, SimClock, Simulation, VehicleParams
 from signaltwin.twin import (
-    TWIN_DIMENSION_KEYS,
     DemandEstimate,
     DemandPhase,
     SimulationJob,
@@ -312,10 +311,14 @@ def test_run_parallel_captures_job_failure(grid3):
     assert all(r.error is None for r in results[:-1])
 
 
+# The nine dimensions that twin_manifest.json describes.
+DIMENSION_KEYS = {"PE", "DS", "DD", "MO", "SI", "TP", "CA", "AP", "CG"}
+
+
 def test_dimensions_complete():
     dims = default_dimensions()
-    assert set(dims) == set(TWIN_DIMENSION_KEYS)
-    assert all(dims[k] for k in TWIN_DIMENSION_KEYS)
+    assert set(dims) == DIMENSION_KEYS
+    assert all(dims.values())
 
 
 def test_build_live_schedule_phases(grid3):
@@ -364,7 +367,7 @@ def live_run(grid3):
 
 def test_live_loop_manifest_shape(live_run):
     manifest, result, sim = live_run
-    assert set(manifest["dimensions"]) == set(TWIN_DIMENSION_KEYS)
+    assert set(manifest["dimensions"]) == DIMENSION_KEYS
     assert len(manifest["periods"]) == 5
     for period in manifest["periods"]:
         assert len(period["jobs"]) == 9  # 3 factors x 3 algorithms
