@@ -136,6 +136,8 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
         raise ConfigError("compare needs at least two algorithms, baseline among them")
     if config.departure_mode not in DEPARTURE_MODES:
         raise ConfigError(f"departure_mode {config.departure_mode!r} is not in {DEPARTURE_MODES}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {config.seed}")
     times = {f.name: getattr(config, f.name) for f in fields(SimClock)}
     with _config_errors(""):
         clock = SimClock(**_checked(times, SimClock))
@@ -325,25 +327,8 @@ def _write_run_artifacts(
     _write_json(summary_dict(result, network), out_dir / "summary.json")
 
 
-def run_one_simulation(run: _Resolved, algorithm: str, out_dir: Path) -> SimulationResult:
-    """Execute one run and populate its artifact directory."""
-    config = run.config
-    with _run_directory(out_dir, config) as sink:
-        sim = Simulation(
-            run.network, flows=run.flows, algorithm=algorithm, seed=config.seed,
-            clock=run.clock, vehicle=run.vehicle, departure_mode=config.departure_mode,
-            carryover_turns=config.carryover_turns, scenario_id=run.scenario_id,
-            trajectory_sink=sink,
-        )
-        result = sim.run()
-    config = replace(config, algorithms=(algorithm,))
-    _write_run_artifacts(out_dir, config, run.network, sim.departure_schedule,
-                         sim.signal_lines(), result)
-    return result
-
-
 class _Rest(NamedTuple):
-    """What ``compare`` keeps of its one run of the flows outside the
+    """What a command keeps of its one run of the flows outside the
     subject's slice: the departures, each flow's insertion times and the
     result, of which only the counts are read."""
 
@@ -383,11 +368,13 @@ def _slice_and_rest(run: _Resolved) -> tuple[list[DepartureRow], _Rest]:
     return rows, _Rest(departures, sim.flow_insertions, result)
 
 
-def _run_slice(
+def run_one_simulation(
     run: _Resolved, algorithm: str, rows: list[DepartureRow], rest: _Rest, out_dir: Path
 ) -> SimulationResult:
     """Run ``algorithm`` on the slice's departure ``rows``, and write its
-    run directory as a run of every flow writes it, adding ``rest``."""
+    run directory as a run of every flow writes it, adding ``rest``.
+    ``simulate`` calls this once and ``compare`` once per algorithm, with
+    the rows and rest of ``_slice_and_rest``."""
     config = run.config
     with _run_directory(out_dir, config) as sink:
         sim = Simulation(
@@ -412,8 +399,11 @@ def _with_rest(
     every flow inserts: by step, then by origin in the order of its first
     departure, then in its queue's order, which is departure order.  Each
     flow departs from one origin and inserts in departure order, so its
-    n-th insertion time belongs to its n-th departure.
+    n-th insertion time belongs to its n-th departure.  With an empty
+    rest, the slice is every flow and its run is the run of every flow.
     """
+    if not rest.departures:
+        return sim.departure_schedule, sim.result()
     departures = list(heapq.merge(
         sim.departure_schedule, rest.departures, key=lambda v: (v.depart_time, v.flow_index)
     ))
@@ -448,7 +438,8 @@ def cmd_simulate(config: RunConfig) -> int:
     run = _resolve(config, "simulate")
     algorithm = config.algorithms[0]
     out_dir = Path(config.out)
-    result = run_one_simulation(run, algorithm, out_dir)
+    rows, rest = _slice_and_rest(run)
+    result = run_one_simulation(run, algorithm, rows, rest, out_dir)
     mean, grade = metrics.control_delay_summary(result.control_delay_values())
     print(
         f"simulate: algorithm={algorithm} scenario={run.scenario_id} seed={config.seed} "
@@ -461,7 +452,7 @@ def cmd_compare(config: RunConfig) -> int:
     run = _resolve(config, "compare")
     out_dir = Path(config.out)
     rows, rest = _slice_and_rest(run)
-    results = {t: _run_slice(run, t, rows, rest, out_dir / t) for t in config.algorithms}
+    results = {t: run_one_simulation(run, t, rows, rest, out_dir / t) for t in config.algorithms}
     report = metrics.compare(results)
     metrics.write_comparison_csv(report, out_dir / "comparison.csv")
     metrics.write_comparison_json(report, out_dir / "comparison.json")

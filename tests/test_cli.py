@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from signaltwin import cli
 from signaltwin.cli import RunConfig, _resolve, main, read_trajectory
 from signaltwin.network import build_grid, load_network, save_network
 from signaltwin.traffic import DEPARTURE_MODES
@@ -141,7 +142,9 @@ def test_compare_writes_each_run_as_simulate_does(
     lane_count, base_vph, dt, departure_mode, carryover_turns, seed, turning,
 ):
     # compare runs the rest of the network once and the subject's slice per
-    # algorithm; each run directory must still be simulate's, byte for byte.
+    # algorithm; each run directory must still be that of a run of every
+    # flow, byte for byte.  A simulate that logs its trajectory is one: its
+    # slice is every flow.
     algorithms = ("baseline", "dt1", "dt2")
     demand = ({"scenario": 1} if turning is None else
               {"flows": [{"origin": o, "destination": d, "vph": base_vph} for o, d in turning]})
@@ -153,16 +156,38 @@ def test_compare_writes_each_run_as_simulate_does(
         "log_trajectory": False, "algorithms": list(algorithms), **demand,
     }
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "config.json"
+        cfg, every_flow = Path(tmp) / "config.json", Path(tmp) / "every_flow.json"
         cfg.write_text(json.dumps(config))
+        every_flow.write_text(json.dumps({**config, "log_trajectory": True}))
         assert run_cli("compare", "--config", str(cfg), "--out", f"{tmp}/cmp") == 0
         for algo in algorithms:
             out = f"{tmp}/{algo}"
-            assert run_cli("simulate", "--config", str(cfg), "--algorithm", algo,
+            assert run_cli("simulate", "--config", str(every_flow), "--algorithm", algo,
                            "--out", out) == 0
             for name in ("summary.json", "signals.csv", "departures.csv"):
                 ours = Path(tmp, "cmp", algo, name).read_bytes()
                 assert ours == Path(out, name).read_bytes(), (algo, name)
+
+
+def test_one_function_writes_every_run_directory(tmp_path, monkeypatch):
+    # The benchmark's tracer times each run directory under this name.
+    calls = []
+    original = cli.run_one_simulation
+
+    def counting(run, algorithm, rows, rest, out_dir):
+        calls.append((algorithm, out_dir))
+        return original(run, algorithm, rows, rest, out_dir)
+
+    monkeypatch.setattr(cli, "run_one_simulation", counting)
+    cfg = small_config(tmp_path, log_trajectory=False)
+    assert run_cli("simulate", "--config", str(cfg), "--algorithm", "dt1",
+                   "--out", str(tmp_path / "sim")) == 0
+    assert calls == [("dt1", tmp_path / "sim")]
+    calls.clear()
+    algorithms = ("baseline", "dt1", "dt2")
+    assert run_cli("compare", "--config", str(cfg), "--algorithm", ",".join(algorithms),
+                   "--out", str(tmp_path / "cmp")) == 0
+    assert calls == [(algo, tmp_path / "cmp" / algo) for algo in algorithms]
 
 
 def test_twin_job_counts_single_period(tmp_path):
@@ -403,6 +428,12 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
         pytest.param("simulate", {"algorithm": "dt1"}, "algorithm", id="algorithm-alias-removed"),
         pytest.param("simulate", {"seed": "x"}, "seed", id="seed-string"),
         pytest.param("simulate", {"seed": True}, "seed", id="seed-bool"),
+        pytest.param("simulate", {"seed": -1}, "seed", id="simulate-seed-negative"),
+        pytest.param("simulate", {"seed": -1, "departure_mode": "uniform"}, "seed",
+                     id="simulate-uniform-seed-negative"),
+        pytest.param("compare", {"seed": -1, "algorithms": ["baseline", "dt1"]}, "seed",
+                     id="compare-seed-negative"),
+        pytest.param("twin", {"seed": -1}, "seed", id="twin-seed-negative"),
         pytest.param("simulate", {"horizon": "900"}, "horizon", id="horizon-string"),
         pytest.param("simulate", {"horizon": 10**400}, "horizon", id="horizon-beyond-float"),
         pytest.param("simulate", {"horizon": 1e308, "dt": 0.5, "warmup": 0, "cooldown": 0},

@@ -66,6 +66,14 @@ COMPARE = {"algorithms": ["baseline", "dt1", "dt2"]}
 # config.json records the output directory, which differs between runs.
 OUT_PLACEHOLDER = "<out>"
 
+# Four turning pairs in the subject's slice and two outside it, on two
+# lanes, at rates that leave vehicles waiting at their origins, in both parts.
+TURNS_2LANE = {
+    **BASE_CONFIG, "log_trajectory": False,
+    "network": {**BASE_CONFIG["network"], "lane_count": 2},
+    "flows": turning_phase(0.0, (3000.0, 2400.0, 1500.0, 2400.0, 3600.0, 3600.0))["flows"],
+}
+
 # case name -> (config, commands run on it in order, digested artifacts)
 CASES = {
     **{
@@ -117,12 +125,8 @@ CASES = {
         ("compare",),
         EVERY_FILE,
     ),
-    # Four turning pairs in the slice and two outside it, on two lanes, at
-    # rates that leave vehicles waiting at their origins, in both parts.
     "compare-turns-2lane": (
-        {**BASE_CONFIG, **COMPARE, "log_trajectory": False,
-         "network": {**BASE_CONFIG["network"], "lane_count": 2},
-         "flows": turning_phase(0.0, (3000.0, 2400.0, 1500.0, 2400.0, 3600.0, 3600.0))["flows"]},
+        {**TURNS_2LANE, **COMPARE},
         ("compare",),
         EVERY_FILE,
     ),
@@ -130,6 +134,19 @@ CASES = {
     "compare-s3-trajectory": (
         {**BASE_CONFIG, **COMPARE, "scenario": 3},
         ("compare",),
+        EVERY_FILE,
+    ),
+    # simulate without a trajectory runs the rest once and the slice once:
+    # 8 of the 12 straight pairs are in the rest.
+    "simulate-dt1-s9-notraj": (
+        {**BASE_CONFIG, "scenario": 9, "algorithms": ["dt1"], "log_trajectory": False},
+        ("simulate",),
+        EVERY_FILE,
+    ),
+    # compare-turns-2lane's network and flows, as one simulate run.
+    "simulate-dt2-turns-2lane-notraj": (
+        {**TURNS_2LANE, "algorithms": ["dt2"]},
+        ("simulate",),
         EVERY_FILE,
     ),
 }
