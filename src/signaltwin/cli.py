@@ -337,7 +337,7 @@ class _Rest(NamedTuple):
     result: SimulationResult
 
 
-def _slice_and_rest(run: _Resolved) -> tuple[list[DepartureRow], _Rest]:
+def _slice_and_rest(run: _Resolved) -> tuple[list[DepartureRow], _Rest | None]:
     """The departure rows of the subject's slice of ``run``'s flows, and
     the run of the rest.
 
@@ -345,17 +345,18 @@ def _slice_and_rest(run: _Resolved) -> tuple[list[DepartureRow], _Rest]:
     ``twin._subject_flows``), so it moves the same under every algorithm.
     A logged trajectory interleaves the two parts within each step, so
     then the slice is every flow and the rest is empty.  An empty rest is
-    not run.  Rows keep their flow index, so vehicle ids are those of a
-    run of every flow.
+    not run, and is None.  Rows keep their flow index, so vehicle ids are
+    those of a run of every flow.
     """
     config = run.config
     rows = departure_rows(run.flows, run.clock.horizon, config.seed, config.departure_mode)
-    ods = [(f.origin, f.destination) for f in run.flows]
-    sliced = set(range(len(ods)) if config.log_trajectory else _subject_flows(run.network, ods))
+    if config.log_trajectory:
+        return rows, None
+    sliced = set(_subject_flows(run.network, [(f.origin, f.destination) for f in run.flows]))
     rest = [r for r in rows if r[1] not in sliced]
     rows = [r for r in rows if r[1] in sliced]
     if not rest:
-        return rows, _Rest([], [], SimulationResult("baseline", config.seed, None, run.clock.window))
+        return rows, None
     sim = Simulation(
         run.network, schedule=rest, seed=config.seed,
         clock=run.clock, vehicle=run.vehicle, carryover_turns=config.carryover_turns,
@@ -369,7 +370,7 @@ def _slice_and_rest(run: _Resolved) -> tuple[list[DepartureRow], _Rest]:
 
 
 def run_one_simulation(
-    run: _Resolved, algorithm: str, rows: list[DepartureRow], rest: _Rest, out_dir: Path
+    run: _Resolved, algorithm: str, rows: list[DepartureRow], rest: _Rest | None, out_dir: Path
 ) -> SimulationResult:
     """Run ``algorithm`` on the slice's departure ``rows``, and write its
     run directory as a run of every flow writes it, adding ``rest``.
@@ -390,7 +391,7 @@ def run_one_simulation(
 
 
 def _with_rest(
-    sim: Simulation, rest: _Rest
+    sim: Simulation, rest: _Rest | None
 ) -> tuple[list[Vehicle | _Departure], SimulationResult]:
     """The departures and result of a run of every flow, from ``sim``, a
     finished run of the slice, and ``rest``.
@@ -399,10 +400,10 @@ def _with_rest(
     every flow inserts: by step, then by origin in the order of its first
     departure, then in its queue's order, which is departure order.  Each
     flow departs from one origin and inserts in departure order, so its
-    n-th insertion time belongs to its n-th departure.  With an empty
-    rest, the slice is every flow and its run is the run of every flow.
+    n-th insertion time belongs to its n-th departure.  With no rest,
+    the slice is every flow and its run is the run of every flow.
     """
-    if not rest.departures:
+    if rest is None:
         return sim.departure_schedule, sim.result()
     departures = list(heapq.merge(
         sim.departure_schedule, rest.departures, key=lambda v: (v.depart_time, v.flow_index)

@@ -10,8 +10,6 @@ cadence once the green has run strictly longer than the 5 s minimum.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .network import ALL_MOVEMENTS, Movement
@@ -197,9 +195,9 @@ class ControllerTimer:
 
 
 def interval_rows(
-    log: Sequence[tuple[int, int, str, int]], dt: float, stop: int, start: int = 0
+    log: Sequence[tuple[int, int, str, int]], dt: float, stop: int
 ) -> Iterator[tuple[int, str, float]]:
-    """The (phase, stage, green_elapsed) of each step in [start, stop) of a
+    """The (phase, stage, green_elapsed) of each step before ``stop`` of a
     timer whose display is logged as intervals.
 
     Each ``log`` entry is (first step, phase, stage, green steps after that
@@ -209,18 +207,15 @@ def interval_rows(
     the green before it, and ``green_elapsed`` is a whole number of steps
     times ``dt``, as ``ControllerTimer.green_elapsed`` is.
     """
-    if start >= stop:
-        return
-    i = bisect_right(log, start, key=itemgetter(0)) - 1
-    ends = [entry[0] for entry in log[i + 1:]]
+    ends = [entry[0] for entry in log[1:]]
     ends.append(stop)
-    for (first, phase, stage, green), end in zip(log[i:], ends):
+    for (first, phase, stage, green), end in zip(log, ends):
         if stage == STAGE_GREEN:
-            for k in range(max(first, start), end):
+            for k in range(first, end):
                 yield phase, stage, (green + k - first) * dt
         else:
             row = (phase, stage, green * dt)
-            for _ in range(max(first, start), end):
+            for _ in range(first, end):
                 yield row
 
 

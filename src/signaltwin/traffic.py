@@ -133,6 +133,13 @@ def _check_distinct_pairs(flows: Sequence[Flow], where: str) -> None:
             )
 
 
+def _check_seed(seed: int) -> None:
+    """Raise ValueError, naming ``seed``, if it is negative: numpy's
+    seed sequences refuse one, and the CLI refuses it as a config error."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class DemandScenario:
     """One of the eleven demand levels."""
@@ -293,6 +300,7 @@ def generate_departures(
     """
     if mode not in DEPARTURE_MODES:
         raise ValueError(f"departure mode must be one of {DEPARTURE_MODES}, got {mode!r}")
+    _check_seed(seed)
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if flow.vph == 0.0:
@@ -506,6 +514,7 @@ class Simulation:
     ) -> None:
         self.network = network
         self.algorithm = validate_algorithm(algorithm)
+        _check_seed(seed)
         self.seed = seed
         self.clock = clock or SimClock()
         self.params = vehicle or VehicleParams()
@@ -544,9 +553,8 @@ class Simulation:
         self._aspect_rows: list[tuple[int, ...] | None] = [None, None, None]
         # The subject's display as intervals, one (first step, phase, stage,
         # green steps) entry per phase change (see signals.interval_rows);
-        # signal_log and signal_lines expand it.
+        # signal_lines expands it.
         self._subject_log: list[tuple[int, int, str, int]] = []
-        self._signal_log: list[tuple[float, str, int, str, float]] = []
         # The steps at which _tick_signals acts next: the subject's next
         # tick, the fixed plan's next phase change and the earlier of the
         # two; and the step of the subject's last tick.
@@ -770,37 +778,18 @@ class Simulation:
             self._next_tick = timer.next_tick(k)
         self._next_signal = min(self._next_fixed, self._next_tick)
 
-    @property
-    def signal_log(self) -> list[tuple[float, str, int, str, float]]:
-        """One (t, node, phase, stage, green_elapsed) row per intersection
-        and step run so far, nodes in sorted order within a step.
-
-        Only the subject's phase changes are recorded as the run goes; its
-        rows are expanded from them and the fixed nodes' rows rebuilt from
-        the fixed-plan table when the log is read.  The same list is
-        returned on every read, extended by the steps run since the last
-        one; do not modify it.
-        """
-        log, nodes, plan = self._signal_log, self._signal_nodes, self._plan
-        subject = self._subject_node
-        start = len(log) // len(nodes)
-        own_rows = interval_rows(self._subject_log, self.dt, self._step_index, start)
-        for k, own in enumerate(own_rows, start):
-            fixed = plan.rows[plan.index(k)]
-            t = k * self.dt
-            log += [(t, node, *(own if node == subject else fixed)) for node in nodes]
-        return log
-
     def signal_lines(self) -> Iterator[str]:
-        """The body of ``signals.csv``: per step run so far, one string of
-        that step's ``signal_log`` rows as ``t,node,phase,stage,green_elapsed``
-        lines, floats as ``repr``, each ending in ``\n``.
+        """The body of ``signals.csv``, the one definition of its rows: per
+        step run so far, one string of ``t,node,phase,stage,green_elapsed``
+        lines, one per intersection in sorted order, floats as ``repr``,
+        each ending in ``\n``.
 
-        Each fixed-plan row's lines are formatted once per call, without
-        their time, and the subject's through a memo: a run shows few
-        distinct subject rows.  A row's ``green_elapsed`` is a whole number
-        of steps times ``dt``, never ``-0.0``, which the memo's keys could
-        not tell from ``0.0``.
+        The subject's rows are expanded from its phase changes and the
+        other nodes' from the fixed-plan table.  Each fixed-plan row's
+        lines are formatted once per call, without their time, and the
+        subject's through a memo: a run shows few distinct subject rows.
+        A row's ``green_elapsed`` is a whole number of steps times ``dt``,
+        never ``-0.0``, which the memo's keys could not tell from ``0.0``.
         """
         nodes, plan, dt = self._signal_nodes, self._plan, self.dt
         at = nodes.index(self._subject_node)

@@ -31,6 +31,7 @@ from signaltwin.twin import (
     live_loop,
     run_parallel,
 )
+from test_traffic import signal_rows
 
 THROUGH = ("EBT", "WBT", "NBT", "SBT")
 
@@ -90,7 +91,7 @@ def test_criterion_1_phase_machine_exactness(default_net, capsys):
 
         rows = [
             (t, phase, stage)
-            for t, node, phase, stage, _ in sim.signal_log
+            for t, node, phase, stage, _ in signal_rows(sim)
             if node == default_net.subject_intersection
         ]
         runs = []
@@ -336,7 +337,7 @@ def test_criterion_9_twin_loop_soundness(default_net, capsys):
 
         signal_by_time = {
             t: (stage, green)
-            for t, node, _, stage, green in sim.signal_log
+            for t, node, _, stage, green in signal_rows(sim)
             if node == default_net.subject_intersection
         }
         for event in manifest["swap_events"]:

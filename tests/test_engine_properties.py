@@ -47,6 +47,7 @@ from signaltwin.traffic import (
     VehicleParams,
     scenario_catalog,
 )
+from test_traffic import signal_rows
 
 HORIZON = 600.0
 
@@ -142,7 +143,7 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
     # A standalone timer running the fixed two-phase plan.
     fixed = ControllerTimer(dt)
     cycle, split = round(2 * FIXED_SPLIT / dt), round(FIXED_SPLIT / dt)
-    nodes = sorted(net.nodes)
+    fixed_rows = []
     for k in range(sim.clock.n_steps):
         if k in swaps:
             sim.set_algorithm(swaps[k])
@@ -155,12 +156,7 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
         occupied = {state.index for state in sim._state_list if state.vehicle_count()}
         assert sim._occupied == occupied
         phase = fixed.tick(k, lambda: 0 if k % cycle < split else 2)
-        expected = (k * dt, phase, fixed.stage, fixed.green_elapsed)
-        rows = sim.signal_log[-len(nodes):]
-        assert [row[1] for row in rows] == nodes
-        for t, node, *state in rows:
-            if node != net.subject_intersection:
-                assert (t, *state) == expected, (node, t)
+        fixed_rows.append((k * dt, phase, fixed.stage, fixed.green_elapsed))
         for state in sim._state_list:
             for lane in state.sweep:
                 leader = None
@@ -187,6 +183,12 @@ def test_engine_invariants_every_step(rows, cols, dt, seed, algorithm, scenario,
                     assert veh.row_key in (None, f",{veh.vid},{state.seg_id},"), veh.vid
                     leader = veh
     assert all(decisions.values()), decisions
+    # Every node but the subject shows the standalone timer's row in each step.
+    rows = signal_rows(sim)
+    nodes = sorted(net.nodes)
+    assert [row[1] for row in rows] == nodes * sim.clock.n_steps
+    others = [(t, *state) for t, node, *state in rows if node != net.subject_intersection]
+    assert others == [row for row in fixed_rows for _ in range(len(nodes) - 1)]
     # A vehicle off the network, pending or exited, holds no row key.
     on_network = {veh.vid for state in sim._state_list for lane in state.sweep for veh in lane}
     for veh in sim.departure_schedule:

@@ -258,14 +258,3 @@ def test_event_ticks_match_every_step_ticks(dt, initial, proposals):
     for k, (got, want) in enumerate(zip(event_rows, every_rows)):
         assert got == want and got[2].hex() == want[2].hex(), k
     assert ticks < n_steps // 2
-
-
-def test_interval_rows_from_a_later_start():
-    log = [(0, 0, "green", 1), (12, 1, "yellow", 12), (14, 8, "all_red", 12), (15, 6, "green", 1)]
-    rows = list(interval_rows(log, 0.5, 20))
-    assert rows[11:16] == [
-        (0, "green", 6.0), (1, "yellow", 6.0), (1, "yellow", 6.0), (8, "all_red", 6.0),
-        (6, "green", 0.5),
-    ]
-    for start in range(22):
-        assert list(interval_rows(log, 0.5, 20, start)) == rows[start:], start

@@ -7,6 +7,7 @@ import pytest
 
 from signaltwin import traffic
 from signaltwin.network import build_grid
+from signaltwin.signals import ControllerTimer
 from signaltwin.traffic import (
     Departure,
     DemandScenario,
@@ -28,6 +29,16 @@ def grid3():
 def vehicles(sim):
     """Every vehicle on the network, segment by segment in sweep order."""
     return [veh for st in sim._state_list for lane in st.sweep for veh in lane]
+
+
+def signal_rows(sim):
+    """The rows of ``signals.csv`` as ``sim.signal_lines()`` writes them,
+    parsed into (t, node, phase, stage, green_elapsed)."""
+    rows = []
+    for line in "".join(sim.signal_lines()).splitlines():
+        t, node, phase, stage, green = line.split(",")
+        rows.append((float(t), node, int(phase), stage, float(green)))
+    return rows
 
 
 # -- departures ----------------------------------------------------------
@@ -90,6 +101,18 @@ def test_generate_departures_validation():
     for speed in (-5.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="depart_speed"):
             Flow("a", "b", 10.0, speed)
+
+
+@pytest.mark.parametrize("mode", ["poisson", "uniform"])
+def test_negative_seed_is_refused_naming_it(grid3, mode):
+    # numpy refuses a negative seed in poisson mode only, and not by name.
+    flow = Flow("bw-1:n1-0", "n1-2:be-1", 60.0)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        generate_departures(flow, 100.0, seed=-1, mode=mode)
+    with pytest.raises(ValueError, match=r"^seed must be"):
+        Simulation(grid3, flows=(flow,), seed=-1, departure_mode=mode)
+    with pytest.raises(ValueError, match=r"^seed must be"):
+        Simulation(grid3, schedule=[(0.0, 0, flow.origin, flow.destination, 0.0)], seed=-1)
 
 
 # -- scenario catalog ------------------------------------------------------
@@ -222,7 +245,7 @@ def test_determinism_bit_identical_logs(grid3):
             trajectory_sink=rows.append,
         )
         result = sim.run()
-        return rows, list(sim.signal_log), result.to_dict()
+        return rows, list(sim.signal_lines()), result.to_dict()
 
     rows_a, signals_a, result_a = run()
     rows_b, signals_b, result_b = run()
@@ -271,31 +294,89 @@ def test_trajectory_writer_matches_per_row_repr(grid3, monkeypatch, memo_limit):
 
 
 @pytest.mark.parametrize("dt", [1.0, 0.5])
-def test_signals_writer_matches_per_row_repr(grid3, dt):
-    # signals.csv is written from signal_lines(): one string per step whose
-    # lines are the per-row repr of signal_log, past the fixed plan's prefix
-    # into its cycle and across a controller swap.
+def test_signals_writer_matches_per_step_timers(grid3, dt):
+    # signals.csv is written from signal_lines(), which expands the
+    # subject's phase changes and the fixed plan's table.  The reference
+    # ticks one timer per intersection on every step instead: the subject's
+    # replays the engine's decisions, at the steps the engine took them,
+    # past the fixed plan's prefix into its cycle and across a swap.
     flows = [Flow(o, d, 300.0) for o, d in grid3.straight_od_pairs()]
     sim = Simulation(
         grid3, flows=flows, algorithm="baseline", seed=5,
         clock=SimClock(dt=dt, horizon=300.0, warmup=0.0, cooldown=0.0),
     )
+    decisions = []
+    decide = sim._subject_decision
+
+    def recording_decision():
+        phase = decide()
+        decisions.append((sim._step_index, phase))
+        return phase
+
+    sim._subject_decision = recording_decision
     sim.run_until(150.0)
     sim.set_algorithm("dt1", "swap")
     sim.run()
     assert [e["to"] for e in sim.swap_events] == ["dt1"]
+    n_steps = sim.clock.n_steps
     plan = traffic.fixed_plan(dt)
-    assert sim.clock.n_steps > plan.prefix + plan.cycle
+    assert n_steps > plan.prefix + plan.cycle
     subject = grid3.subject_intersection
-    assert len({phase for _, node, phase, _, _ in sim.signal_log if node == subject}) > 2
-    reference = [
-        f"{t!r},{node},{phase},{stage},{green!r}\n"
-        for t, node, phase, stage, green in sim.signal_log
-    ]
+    assert len({phase for _, node, phase, _, _ in signal_rows(sim) if node == subject}) > 2
+
+    replay = iter(decisions)
+
+    def replayed_decision():
+        step, phase = next(replay)
+        assert step == k
+        return phase
+
+    own, fixed = ControllerTimer(dt), ControllerTimer(dt)
+    period, half = round(2 * traffic.FIXED_SPLIT / dt), round(traffic.FIXED_SPLIT / dt)
+    reference = []
+    for k in range(n_steps):
+        t = k * dt
+        own_row = own.tick(k, replayed_decision), own.stage, own.green_elapsed
+        fixed_phase = fixed.tick(k, lambda: 0 if k % period < half else 2)
+        fixed_row = fixed_phase, fixed.stage, fixed.green_elapsed
+        for node in sorted(grid3.nodes):
+            phase, stage, green = own_row if node == subject else fixed_row
+            reference.append(f"{t!r},{node},{phase},{stage},{green!r}\n")
+    assert next(replay, None) is None
     lines = list(sim.signal_lines())
-    assert len(lines) == sim.clock.n_steps
+    assert len(lines) == n_steps
     assert all(line.count("\n") == len(grid3.nodes) for line in lines)
     assert "".join(lines).splitlines(keepends=True) == reference
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+def test_signal_lines_read_mid_run(grid3, dt):
+    # Read after run_until(t), signal_lines() gives the first t / dt lines
+    # of the finished run: the subject's last interval is cut at the step
+    # run so far, inside a green and inside a transition.
+    def sim():
+        flows = [Flow(o, d, 300.0) for o, d in grid3.straight_od_pairs()]
+        return Simulation(
+            grid3, flows=flows, algorithm="dt2", seed=3,
+            clock=SimClock(dt=dt, horizon=300.0, warmup=0.0, cooldown=0.0),
+        )
+
+    finished = sim()
+    finished.run()
+    lines = list(finished.signal_lines())
+    n_steps = finished.clock.n_steps
+    subject = grid3.subject_intersection
+    own = [row[2:4] for row in signal_rows(finished) if row[1] == subject]
+    # A cut at step k falls inside an interval when step k shows what step
+    # k - 1 does; the last such cut in a green and in a yellow.
+    inside = {
+        stage: max(k for k in range(1, n_steps) if own[k - 1] == own[k] and own[k][1] == stage)
+        for stage in ("green", "yellow")
+    }
+    running = sim()
+    for k in sorted({0, 1, *inside.values(), n_steps}):
+        running.run_until(k * dt)
+        assert list(running.signal_lines()) == lines[:k], k
 
 
 def test_metrics_window_excludes_warmup_and_cooldown(grid3):
@@ -429,7 +510,7 @@ def test_engine_runs_with_fractional_dt(grid3):
     # Subject transitions stay exact: yellows 2 s = 4 steps of 0.5 s.
     rows = [
         (t, phase, stage)
-        for t, node, phase, stage, _ in sim.signal_log
+        for t, node, phase, stage, _ in signal_rows(sim)
         if node == "n1-1"
     ]
     runs = []
@@ -469,8 +550,6 @@ def test_simulation_rejects_flow_and_schedule_mix(grid3):
     "dt, prefix, cycle", [(1.0, 34, 60), (0.5, 67, 120), (0.25, 133, 240), (0.2, 166, 300)]
 )
 def test_fixed_plan_table_matches_a_running_timer(dt, prefix, cycle):
-    from signaltwin.signals import ControllerTimer
-
     plan = traffic.fixed_plan(dt)
     assert plan is traffic.fixed_plan(dt)  # built once per dt
     assert (plan.prefix, plan.cycle) == (prefix, cycle)

@@ -27,6 +27,7 @@ from signaltwin.twin import (
     run_parallel,
     select_controller,
 )
+from test_traffic import signal_rows
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +278,20 @@ def test_live_loop_refuses_bad_settings_before_any_job(grid3, monkeypatch, bad, 
         live_loop(grid3, program, TwinSettings(**bad), seed=1, clock=clock)
 
 
+def test_live_loop_refuses_a_negative_seed_before_any_job(grid3, monkeypatch):
+    # The CLI refuses the seed as a config error; the library names it too.
+    import signaltwin.twin as twin
+
+    calls = []
+    monkeypatch.setattr(twin, "run_parallel", lambda *args, **kwargs: calls.append(args))
+    ods = grid3.straight_od_pairs()[:4]
+    program = [DemandPhase(0.0, tuple(Flow(o, d, 80.0) for o, d in ods))]
+    clock = SimClock(dt=1.0, horizon=600.0, warmup=0.0, cooldown=0.0)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        live_loop(grid3, program, TwinSettings(period=300.0), seed=-1, clock=clock)
+    assert calls == []
+
+
 def test_run_parallel_matches_direct_serial_rerun(grid3):
     # Six jobs (2 demands x 3 algorithms): each result must equal a fresh
     # standalone simulation configured identically.
@@ -390,7 +405,7 @@ def test_live_loop_swaps_only_at_green_decisions(live_run):
     manifest, result, sim = live_run
     signal_by_time = {
         t: (phase, stage, green)
-        for t, node, phase, stage, green in sim.signal_log
+        for t, node, phase, stage, green in signal_rows(sim)
         if node == grid_subject(sim)
     }
     assert manifest["swap_events"], "expected at least one swap"
@@ -534,7 +549,7 @@ def test_a_job_on_the_subject_slice_matches_the_job_on_every_flow(
             departure_mode=departure_mode, carryover_turns=carryover_turns,
         )
         result = sim.run()
-        phases = [row for row in sim.signal_log if row[1] == net.subject_intersection]
+        phases = [row for row in signal_rows(sim) if row[1] == net.subject_intersection]
         return result.control_delays, result.movement_stopped_delays, phases
 
     sliced = [flows[i] for i in _subject_flows(net, ods)]
