@@ -21,9 +21,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import metrics
-from .checks import ConfigError, _checked, _is_finite, _typed
+from .checks import ConfigError, _checked, _hints, _is_finite, _typed
 from .controllers import ALGORITHMS, validate_algorithm
-from .network import Network, build_grid, load_network, save_network
+from .network import Network, build_grid, load_network, save_network, shortest_path
 from .traffic import (
     DEPARTURE_MODES,
     DepartureRow,
@@ -54,6 +54,15 @@ _TRAJECTORY_COLUMNS = TRAJECTORY_HEADER.count(",") + 1
 _TRAJECTORY_HEADERS = (TRAJECTORY_HEADER.encode(), TRAJECTORY_HEADER[:-1].encode() + b"\r\n")
 SIGNALS_HEADER = "t,intersection_id,phase,stage,green_elapsed\n"
 DEPARTURES_HEADER = "vehicle_id,depart_time,origin,destination,route\n"
+
+# The TwinSettings fields that only the top level of a config sets.
+_TWIN_TOP_LEVEL = ("parallelism", "departure_mode")
+# The keys of the twin section: the other TwinSettings fields and the
+# demand program.
+_TWIN_KEYS = {
+    **{k: v for k, v in _hints(TwinSettings).items() if k not in _TWIN_TOP_LEVEL},
+    "demand_program": list[dict],
+}
 
 
 def _default_network() -> dict:
@@ -146,11 +155,15 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
     network = _resolve_network(config.network)
     # Every command checks the twin section and parallelism, so that a
     # config that twin refuses is refused by every command.
-    twin = {"parallelism": config.parallelism, "departure_mode": config.departure_mode,
-            **config.twin}
+    for key in _TWIN_TOP_LEVEL:
+        if key in config.twin:
+            raise ConfigError(f"twin.{key}: unknown key; {key} is set at the top level only")
+    twin = _checked(config.twin, _TWIN_KEYS, "twin")
     program_spec = twin.pop("demand_program", None)
+    if config.parallelism < 1:
+        raise ConfigError(f"parallelism must be an integer >= 1, got {config.parallelism}")
     with _config_errors("twin."):
-        settings = TwinSettings(**_checked(twin, TwinSettings, "twin"))
+        settings = TwinSettings(**twin, **{k: getattr(config, k) for k in _TWIN_TOP_LEVEL})
         check_settings(settings, clock, network)
     if command != "twin":
         if program_spec is not None:
@@ -171,8 +184,9 @@ def _resolve_network(spec: dict) -> Network:
 
 def _flows_from_dicts(rows: Sequence[dict], network: Network, where: str) -> tuple[Flow, ...]:
     """Flows parsed from JSON rows, each checked to run from a peripheral
-    entry to a peripheral exit segment of ``network``, no origin/destination
-    pair twice."""
+    entry to a peripheral exit segment of ``network`` that a route reaches,
+    no origin/destination pair twice.  Routes are memoised on the network,
+    so the runs reuse the ones found here."""
     entries, exits = network.peripheral_entries(), network.peripheral_exits()
     flows = []
     for i, row in enumerate(rows):
@@ -186,6 +200,8 @@ def _flows_from_dicts(rows: Sequence[dict], network: Network, where: str) -> tup
             raise ConfigError(
                 f"{where}[{i}].destination: {flow.destination!r} is not a peripheral exit segment"
             )
+        with _config_errors(f"{where}[{i}]: "):
+            shortest_path(network, flow.origin, flow.destination)
         flows.append(flow)
     with _config_errors(""):
         _check_distinct_pairs(flows, where)

@@ -77,7 +77,9 @@ class PhaseChangeRejected(RuntimeError):
 
 
 class ControllerTimer:
-    """Signal timer for one intersection.
+    """Signal timer for one intersection, or for several that run the same
+    plan from the same start: the engine runs one for the subject and one
+    that every fixed-time intersection shares.
 
     Internally counts whole simulation steps so stage boundaries stay
     exact for any step length that divides one second cleanly.
@@ -85,7 +87,7 @@ class ControllerTimer:
     Call ``tick`` once per simulation step, or only at the steps that
     ``next_tick`` names: on every step before those a tick would only
     count up, so the next tick counts the steps it is passed as
-    ``skipped`` first.
+    ``skipped`` first.  The engine does the latter for both of its timers.
     """
 
     def __init__(self, dt: float = 1.0, initial_phase: int = 0) -> None:

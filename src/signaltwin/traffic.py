@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -51,7 +50,6 @@ from .signals import (
     A_YELLOW,
     ASPECTS_PERMISSIVE,
     ASPECTS_PROTECTED,
-    DECISION_PERIOD,
     GREEN_PHASE_FOR_MOVEMENT,
     MOVEMENT_INDEX,
     ControllerTimer,
@@ -66,8 +64,8 @@ STOP_LINE_MARGIN = 1.0
 # intersection except the subject runs.
 FIXED_SPLIT = 30.0
 
-# The signal ahead of a segment, an index into Simulation._aspect_rows:
-# none (an exit stub), the subject's or the fixed plan's.
+# The signal ahead of a segment, an index into Simulation._displays and
+# _aspect_rows: none (an exit stub), the subject's or the fixed plan's.
 _NO_SIGNAL, _SUBJECT, _FIXED = 0, 1, 2
 
 # How departures are spread over time: exponential headways or even spacing.
@@ -213,61 +211,6 @@ class Departure(NamedTuple):
 
 # One scheduled departure: (time, flow index, origin, destination, depart_speed).
 DepartureRow = tuple[float, int, str, str, float]
-
-
-class FixedPlan(NamedTuple):
-    """The fixed two-phase plan as a table of steps.
-
-    ``rows[i]`` is the (phase, stage, green_elapsed) that a fixed-time
-    intersection logs for step ``i``.  The first ``prefix`` rows are run
-    once; the last ``cycle`` rows then repeat for ever.  ``runs[i]`` is
-    the number of steps from a step of row ``i`` to the next step whose
-    phase differs.
-    """
-
-    rows: tuple[tuple[int, str, float], ...]
-    prefix: int
-    cycle: int
-    runs: tuple[int, ...]
-
-    def index(self, k: int) -> int:
-        """The table row of step ``k``."""
-        return k if k < self.prefix else self.prefix + (k - self.prefix) % self.cycle
-
-
-@cache
-def fixed_plan(dt: float) -> FixedPlan:
-    """The fixed plan at step length ``dt``, built once per ``dt``.
-
-    A ``ControllerTimer`` runs the fixed source (phase 0 for the first
-    split of each cycle, phase 2 for the second) until its state repeats.
-    The source reads the step index modulo the plan's period and the
-    timer decides at multiples of its decision steps, so the index counts
-    in the state modulo the least common multiple of the two.  At dt 1
-    this is a 34-step prefix and a 60-step cycle (the rows alone repeat
-    from step 33, but there the timer still holds the first green's
-    length, 30 s where later greens hold 27 s).
-    """
-    period, half = round(2 * FIXED_SPLIT / dt), round(FIXED_SPLIT / dt)
-    wrap = math.lcm(period, round(DECISION_PERIOD / dt))
-    timer = ControllerTimer(dt)
-    first_seen: dict[tuple, int] = {}
-    rows: list[tuple[int, str, float]] = []
-    k = 0
-    while (state := (k % wrap, *vars(timer).values())) not in first_seen:
-        first_seen[state] = k
-        phase = timer.tick(k, lambda: 0 if k % period < half else 2)
-        rows.append((phase, timer.stage, timer.green_elapsed))
-        k += 1
-    prefix = first_seen[state]
-    # The phases of steps 0 to prefix + 2 * cycle: every run that starts
-    # in the table ends in them, as the cycle shows more than one phase.
-    phases = [row[0] for row in (*rows, *rows[prefix:])]
-    runs = [1] * len(phases)
-    for i in reversed(range(len(phases) - 1)):
-        if phases[i + 1] == phases[i]:
-            runs[i] = runs[i + 1] + 1
-    return FixedPlan(tuple(rows), prefix, k - prefix, tuple(runs[:k]))
 
 
 def stream_seed(seed: int, label: str) -> np.random.SeedSequence:
@@ -451,6 +394,20 @@ class _SegmentState:
         return sum(len(lane) for lane in self.sweep)
 
 
+class _Display:
+    """A signal timer as the engine runs it: ticked only at the steps its
+    ``next_tick`` names, its display logged as (first step, phase, stage,
+    green steps) intervals (see ``signals.interval_rows``)."""
+
+    __slots__ = ("timer", "log", "aspects", "last_tick")
+
+    def __init__(self, dt: float, aspects: tuple[tuple[int, ...], ...]) -> None:
+        self.timer = ControllerTimer(dt)
+        self.log: list[tuple[int, int, str, int]] = []
+        self.aspects = aspects
+        self.last_tick = -1  # the step of the timer's last tick
+
+
 @dataclass
 class SimulationResult:
     """Aggregated outcome of one simulation job."""
@@ -541,25 +498,22 @@ class Simulation:
         self._occupied: set[int] = set()
 
         # Signals: the subject intersection runs the adaptive nine-phase
-        # plan; every other intersection runs the same fixed-time two-phase
-        # plan with permissive lefts from the same start, which one table
-        # holds.  Nodes are logged in sorted order.
+        # plan with protected lefts; every other one runs the same fixed-time
+        # two-phase plan with permissive lefts from the same start, on one
+        # shared timer.  Nodes are logged in sorted order.
         self._signal_nodes = sorted(network.nodes)
-        self._subject_timer = ControllerTimer(self.dt)
-        self._plan = fixed_plan(self.dt)
         self._subject_node = subject
-        # The aspect row shown this step, indexed by MOVEMENT_INDEX, per
-        # _SegmentState.signal: none, the subject's, the fixed plan's.
+        # Per _SegmentState.signal: its display, and the aspect row it shows
+        # this step, indexed by MOVEMENT_INDEX.
+        self._displays = (
+            None, _Display(self.dt, ASPECTS_PROTECTED), _Display(self.dt, ASPECTS_PERMISSIVE)
+        )
         self._aspect_rows: list[tuple[int, ...] | None] = [None, None, None]
-        # The subject's display as intervals, one (first step, phase, stage,
-        # green steps) entry per phase change (see signals.interval_rows);
-        # signal_lines expands it.
-        self._subject_log: list[tuple[int, int, str, int]] = []
-        # The steps at which _tick_signals acts next: the subject's next
-        # tick, the fixed plan's next phase change and the earlier of the
-        # two; and the step of the subject's last tick.
-        self._next_tick = self._next_fixed = self._next_signal = 0
-        self._last_tick = -1
+        # The fixed source's cycle and split, in steps.
+        self._fixed_cycle = round(2 * FIXED_SPLIT / self.dt), round(FIXED_SPLIT / self.dt)
+        # The steps at which _tick_signals acts next: each timer's next tick
+        # and the earlier of the two.
+        self._next_subject = self._next_fixed = self._next_signal = 0
         # Per subject approach: its through lanes and its pocket, their
         # movement indices, and their lane-miles.
         self._subject_approaches = tuple(
@@ -754,29 +708,34 @@ class Simulation:
     def _tick_signals(self, k: int) -> None:
         """Set the aspect rows of step ``k``.
 
-        They change only at the fixed plan's phase changes and at the
-        subject's ticks, and the subject's timer is ticked only at the
-        steps its ``next_tick`` names; on every other step this returns at
-        once.
+        Each timer, the subject's and the one the fixed-time intersections
+        share, is ticked only at the steps its ``next_tick`` names, and its
+        aspect row changes only there; on every other step this returns at
+        once.  The fixed timer's source reads the step being ticked: phase
+        0 in the first split of each cycle, phase 2 in the second.
         """
         if k < self._next_signal:
             return
-        rows = self._aspect_rows
         if k == self._next_fixed:
-            plan = self._plan
-            i = plan.index(k)
-            rows[_FIXED] = ASPECTS_PERMISSIVE[plan.rows[i][0]]
-            self._next_fixed = k + plan.runs[i]
-        if k == self._next_tick:
-            timer = self._subject_timer
-            phase = timer.tick(k, self._subject_decision, k - self._last_tick - 1)
-            log = self._subject_log
-            if not log or phase != log[-1][1]:
-                log.append((k, phase, timer.stage, timer.green_steps))
-                rows[_SUBJECT] = ASPECTS_PROTECTED[phase]
-            self._last_tick = k
-            self._next_tick = timer.next_tick(k)
-        self._next_signal = min(self._next_fixed, self._next_tick)
+            cycle, split = self._fixed_cycle
+            self._next_fixed = self._tick(_FIXED, k, lambda: 0 if k % cycle < split else 2)
+        if k == self._next_subject:
+            # Looked up on each tick, so a replacement set on the instance is used.
+            self._next_subject = self._tick(_SUBJECT, k, self._subject_decision)
+        self._next_signal = min(self._next_fixed, self._next_subject)
+
+    def _tick(self, signal: int, k: int, source: Callable[[], int]) -> int:
+        """Tick the timer of ``signal`` (_SUBJECT or _FIXED) at step ``k``
+        with decision ``source``, log a phase change and show it in the
+        aspect row; return the timer's next tick."""
+        display = self._displays[signal]
+        timer, log = display.timer, display.log
+        phase = timer.tick(k, source, k - display.last_tick - 1)
+        display.last_tick = k
+        if not log or phase != log[-1][1]:
+            log.append((k, phase, timer.stage, timer.green_steps))
+            self._aspect_rows[signal] = display.aspects[phase]
+        return timer.next_tick(k)
 
     def signal_lines(self) -> Iterator[str]:
         """The body of ``signals.csv``, the one definition of its rows: per
@@ -784,25 +743,26 @@ class Simulation:
         lines, one per intersection in sorted order, floats as ``repr``,
         each ending in ``\n``.
 
-        The subject's rows are expanded from its phase changes and the
-        other nodes' from the fixed-plan table.  Each fixed-plan row's
-        lines are formatted once per call, without their time, and the
-        subject's through a memo: a run shows few distinct subject rows.
-        A row's ``green_elapsed`` is a whole number of steps times ``dt``,
-        never ``-0.0``, which the memo's keys could not tell from ``0.0``.
+        The subject's rows and the fixed-time nodes' are expanded from the
+        two timers' interval logs.  Each distinct fixed row's node lines
+        are formatted once per call, without their time, and the subject's
+        line through a memo of its own: a run shows few distinct rows.  A
+        row's ``green_elapsed`` is a whole number of steps times ``dt``,
+        never ``-0.0``, which the memos' keys could not tell from ``0.0``.
         """
-        nodes, plan, dt = self._signal_nodes, self._plan, self.dt
+        nodes, dt, stop = self._signal_nodes, self.dt, self._step_index
         at = nodes.index(self._subject_node)
-        # Per plan row, every node's line after the time; the subject's
-        # entry is replaced in each step.
-        fixed = [
-            [f",{node},{phase},{stage},{green!r}\n" for node in nodes]
-            for phase, stage, green in plan.rows
-        ]
         subject = f",{self._subject_node},"
+        # Per fixed row, every node's line after the time; the subject's
+        # entry is replaced in each step.
+        fixed_memo: dict[tuple[int, str, float], list[str]] = {}
         memo: dict[tuple[int, str, float], str] = {}
-        for k, own in enumerate(interval_rows(self._subject_log, dt, self._step_index)):
-            lines = fixed[plan.index(k)].copy()
+        logs = (self._displays[_SUBJECT].log, self._displays[_FIXED].log)
+        for k, (own, fixed) in enumerate(zip(*(interval_rows(log, dt, stop) for log in logs))):
+            lines = fixed_memo.get(fixed) or fixed_memo.setdefault(
+                fixed, [f",{node},{fixed[0]},{fixed[1]},{fixed[2]!r}\n" for node in nodes]
+            )
+            lines = lines.copy()
             lines[at] = memo.get(own) or memo.setdefault(
                 own, f"{subject}{own[0]},{own[1]},{own[2]!r}\n"
             )

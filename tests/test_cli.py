@@ -455,8 +455,16 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
                      id="log-trajectory-string"),
         pytest.param("simulate", {"departure_mode": "poison"}, "departure_mode",
                      id="departure-mode-unknown"),
-        pytest.param("twin", {"twin": {"departure_mode": "poison"}}, "twin.departure_mode",
-                     id="twin-departure-mode-unknown"),
+        pytest.param("twin", {"twin": {"departure_mode": "poison"}},
+                     "twin.departure_mode: unknown key", id="twin-departure-mode-unknown"),
+        pytest.param("twin", {"twin": {"parallelism": 2}}, "twin.parallelism: unknown key",
+                     id="twin-parallelism-in-section"),
+        pytest.param("simulate", {"twin": {"departure_mode": "uniform"}},
+                     "twin.departure_mode: unknown key", id="simulate-twin-departure-mode"),
+        pytest.param("twin", {"twin": {"bogus": 1}},
+                     "valid keys: factors, period, job_horizon, job_warmup, job_cooldown, "
+                     "estimate_window, initial_algorithm, demand_program",
+                     id="twin-unknown-key-lists-demand-program"),
     ],
 )
 def test_invalid_run_settings_exit_2(tmp_path, capsys, command, extra, field):
@@ -475,12 +483,12 @@ def test_invalid_run_settings_exit_2(tmp_path, capsys, command, extra, field):
                      "twin.bogus: unknown key", id="simulate-twin-section"),
         pytest.param("simulate", {"twin": {"period": -5}}, (), "twin.period",
                      id="simulate-twin-period-negative"),
-        pytest.param("simulate", {"parallelism": -3}, (), "twin.parallelism",
+        pytest.param("simulate", {"parallelism": -3}, (), "error: parallelism must be",
                      id="simulate-parallelism-negative"),
-        pytest.param("simulate", {}, ("--parallelism", "0"), "twin.parallelism",
+        pytest.param("simulate", {}, ("--parallelism", "0"), "error: parallelism must be",
                      id="simulate-parallelism-flag-zero"),
         pytest.param("compare", {"algorithms": ["baseline", "dt1"]}, ("--parallelism", "0"),
-                     "twin.parallelism", id="compare-parallelism-flag-zero"),
+                     "error: parallelism must be", id="compare-parallelism-flag-zero"),
         pytest.param("compare",
                      {"algorithms": ["baseline", "dt1"], "twin": {"job_horizon": 600.5}}, (),
                      "twin.job_horizon", id="compare-twin-job-horizon-off-grid"),
@@ -556,6 +564,36 @@ def test_invalid_network_file_exit_2(tmp_path, capsys, mutate, field):
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
     assert f"network.file: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, field",
+    [
+        pytest.param("simulate", {}, "flows[1]", id="simulate"),
+        pytest.param("compare", {"algorithms": ["baseline", "dt1"]}, "flows[1]", id="compare"),
+        pytest.param("twin", "program", "twin.demand_program[0].flows[1]", id="twin"),
+    ],
+)
+def test_flow_without_route_exit_2(tmp_path, capsys, command, extra, field):
+    # Without the segments into n0-0 from the east and from the north, no
+    # route reaches n0-0's west exit from the east side of row 0.
+    def cut(data):
+        data["segments"] = [s for s in data["segments"]
+                            if s["id"] not in ("n0-1:n0-0", "n1-0:n0-0")]
+
+    flows = [{"origin": "bw-1:n1-0", "destination": "n1-2:be-1", "vph": 60.0},
+             {"origin": "be-0:n0-2", "destination": "n0-0:bw-0", "vph": 60.0}]
+    if extra == "program":
+        extra = {"twin": {"demand_program": [{"start": 0.0, "flows": flows}]}}
+    else:
+        extra = {**extra, "flows": flows}
+    path = _network_file(tmp_path, cut)
+    cfg = small_config(tmp_path, network={"file": str(path)}, **extra)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: no route from be-0:n0-2 to n0-0:bw-0" in err, err
     assert not out.exists()
 
 

@@ -6,10 +6,11 @@ gap to the leader, position and speed bounds, and monotone stopped-delay
 ledgers that advance each step exactly as ``delay.update_waiting`` does
 (the sweep keeps an inline copy of that rule).  They also guard the
 shortcuts of the step: the set of occupied segments that the sweep
-visits, the table of the plan that every fixed-time intersection runs,
-against a standalone timer, and the per-vehicle fields the sweep reads in
-place of the route tables (the current stop-line movement and left-turn
-flag), and that a vehicle that crossed in a step is not moved again in it.
+visits, the event-ticked timer that every fixed-time intersection
+shares, against a standalone timer ticked every step, and the per-vehicle
+fields the sweep reads in place of the route tables (the current
+stop-line movement and left-turn flag), and that a vehicle that crossed
+in a step is not moved again in it.
 Every decision of the subject's controller, under each algorithm, must
 equal ``controllers.decide`` over ``approach_density`` and
 ``approach_delays``, which the engine computes in one pass of its own.

@@ -293,13 +293,15 @@ def test_trajectory_writer_matches_per_row_repr(grid3, monkeypatch, memo_limit):
     assert len(sim._repr_memo) <= (memo_limit or traffic._REPR_MEMO_LIMIT)
 
 
-@pytest.mark.parametrize("dt", [1.0, 0.5])
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.25, 0.2])
 def test_signals_writer_matches_per_step_timers(grid3, dt):
-    # signals.csv is written from signal_lines(), which expands the
-    # subject's phase changes and the fixed plan's table.  The reference
-    # ticks one timer per intersection on every step instead: the subject's
-    # replays the engine's decisions, at the steps the engine took them,
-    # past the fixed plan's prefix into its cycle and across a swap.
+    # signals.csv is written from signal_lines(), which expands the phase
+    # changes of the two event-ticked timers, the subject's and the one the
+    # fixed-time intersections share.  The reference ticks one timer per
+    # intersection on every step instead: the subject's replays the
+    # engine's decisions, at the steps the engine took them, across a swap;
+    # the fixed ones run past their first green, which runs longer than
+    # the later ones, into the repeating cycle.
     flows = [Flow(o, d, 300.0) for o, d in grid3.straight_od_pairs()]
     sim = Simulation(
         grid3, flows=flows, algorithm="baseline", seed=5,
@@ -319,10 +321,14 @@ def test_signals_writer_matches_per_step_timers(grid3, dt):
     sim.run()
     assert [e["to"] for e in sim.swap_events] == ["dt1"]
     n_steps = sim.clock.n_steps
-    plan = traffic.fixed_plan(dt)
-    assert n_steps > plan.prefix + plan.cycle
     subject = grid3.subject_intersection
     assert len({phase for _, node, phase, _, _ in signal_rows(sim) if node == subject}) > 2
+    # Each log holds one interval per phase change, and the fixed timer
+    # starts at least three greens of each of its two phases.
+    logs = [sim._displays[signal].log for signal in (traffic._SUBJECT, traffic._FIXED)]
+    assert all(a[1] != b[1] for log in logs for a, b in zip(log, log[1:]))
+    fixed_greens = [phase for _, phase, stage, _ in logs[1] if stage == "green"]
+    assert min(fixed_greens.count(0), fixed_greens.count(2)) >= 3
 
     replay = iter(decisions)
 
@@ -543,24 +549,7 @@ def test_simulation_rejects_flow_and_schedule_mix(grid3):
         )
 
 
-# -- fixed plan and insertion shortcuts ------------------------------------
-
-
-@pytest.mark.parametrize(
-    "dt, prefix, cycle", [(1.0, 34, 60), (0.5, 67, 120), (0.25, 133, 240), (0.2, 166, 300)]
-)
-def test_fixed_plan_table_matches_a_running_timer(dt, prefix, cycle):
-    plan = traffic.fixed_plan(dt)
-    assert plan is traffic.fixed_plan(dt)  # built once per dt
-    assert (plan.prefix, plan.cycle) == (prefix, cycle)
-    assert len(plan.rows) == plan.prefix + plan.cycle
-    period, split = round(2 * traffic.FIXED_SPLIT / dt), round(traffic.FIXED_SPLIT / dt)
-    timer = ControllerTimer(dt)
-    for k in range(plan.prefix + 3 * plan.cycle):
-        phase = timer.tick(k, lambda: 0 if k % period < split else 2)
-        row = plan.rows[plan.index(k)]
-        assert row == (phase, timer.stage, timer.green_elapsed), k
-        assert row[2].hex() == timer.green_elapsed.hex(), k  # bit for bit
+# -- insertion shortcuts ----------------------------------------------------
 
 
 class _InsertEveryStep(Simulation):
