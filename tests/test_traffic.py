@@ -7,7 +7,7 @@ import pytest
 
 from signaltwin import traffic
 from signaltwin.network import build_grid
-from signaltwin.signals import ControllerTimer
+from signaltwin.signals import ControllerTimer, interval_rows
 from signaltwin.traffic import (
     Departure,
     DemandScenario,
@@ -547,6 +547,45 @@ def test_simulation_rejects_flow_and_schedule_mix(grid3):
             flows=(Flow("bw-1:n1-0", "n1-2:be-1", 10.0),),
             schedule=[(0.0, 0, "bw-1:n1-0", "n1-2:be-1", 0.0)],
         )
+
+
+# -- fixed-time timer ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dt, prefix, cycle", [(1.0, 34, 60), (0.5, 67, 120), (0.25, 133, 240), (0.2, 166, 300)]
+)
+def test_fixed_plan_table_matches_a_running_timer(grid3, dt, prefix, cycle):
+    # The fixed-time intersections' timer, as the engine ticks it only at
+    # the steps its next_tick names, displays bit for bit what a timer
+    # ticked on every step does.  That timer's state repeats every
+    # ``cycle`` steps from step ``prefix`` on; its rows repeat from one
+    # step earlier, where it still holds the first green's length, which
+    # is longer than the later greens'.
+    sim = Simulation(
+        grid3, flows=(), algorithm="baseline", seed=0,
+        clock=SimClock(dt=dt, horizon=240.0, warmup=0.0, cooldown=0.0),
+    )
+    sim.run()
+    stop = sim.clock.n_steps
+    assert stop >= prefix + 3 * cycle
+    log = sim._displays[traffic._FIXED].log
+    rows = list(interval_rows(log, dt, stop))
+    assert len(rows) == stop
+    period, split = round(2 * traffic.FIXED_SPLIT / dt), round(traffic.FIXED_SPLIT / dt)
+    timer = ControllerTimer(dt)
+    states = []  # the timer's state before each step's tick
+    for k in range(stop):
+        states.append(tuple(vars(timer).values()))
+        phase = timer.tick(k, lambda: 0 if k % period < split else 2)
+        assert rows[k] == (phase, timer.stage, timer.green_elapsed), k
+        assert rows[k][2].hex() == timer.green_elapsed.hex(), k  # bit for bit
+    assert all(states[k] == states[k + cycle] for k in range(prefix, stop - cycle))
+    assert states[prefix - 1] != states[prefix - 1 + cycle]
+    assert all(rows[k] == rows[k + cycle] for k in range(prefix - 1, stop - cycle))
+    assert rows[prefix - 2] != rows[prefix - 2 + cycle]
+    lengths = [b[0] - a[0] for a, b in zip(log, log[1:]) if a[2] == "green"]
+    assert lengths[0] > max(lengths[1:])
 
 
 # -- insertion shortcuts ----------------------------------------------------
