@@ -34,6 +34,7 @@ from .traffic import (
     Vehicle,
     VehicleParams,
     _check_distinct_pairs,
+    _check_vehicle_fits,
     departure_rows,
     scenario_catalog,
 )
@@ -153,6 +154,9 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
     with _config_errors("vehicle: "):
         vehicle = VehicleParams(**_checked(config.vehicle, VehicleParams, "vehicle"))
     network = _resolve_network(config.network)
+    with _config_errors("vehicle."):
+        _check_vehicle_fits(network, vehicle)
+    _check_out(config.out)
     # Every command checks the twin section and parallelism, so that a
     # config that twin refuses is refused by every command.
     for key in _TWIN_TOP_LEVEL:
@@ -171,6 +175,15 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
         return _Resolved(config, network, clock, vehicle, *_resolve_flows(config, network))
     program = _resolve_demand_program(config, network, program_spec)
     return _Resolved(config, network, clock, vehicle, program=program, settings=settings)
+
+
+def _check_out(out: str) -> None:
+    """Raise a ConfigError, naming ``out``, unless it or its nearest
+    existing ancestor is a directory, so that the run can make it one."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.is_symlink() or p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"out: {existing} is not a directory")
 
 
 def _resolve_network(spec: dict) -> Network:

@@ -26,6 +26,13 @@ STAGE_GREEN = "green"
 STAGE_YELLOW = "yellow"
 STAGE_ALL_RED = "all_red"
 
+# Phase -> its stage: even phases below ALL_RED_PHASE are green, odd ones
+# the matching yellows.
+PHASE_STAGES: tuple[str, ...] = (
+    *(stage for _ in GREEN_PHASES for stage in (STAGE_GREEN, STAGE_YELLOW)),
+    STAGE_ALL_RED,
+)
+
 # Movement pairs served by each green phase, in decision-chain order.
 PHASE_MOVEMENTS: dict[int, tuple[Movement, Movement]] = {
     0: (Movement.NBT, Movement.SBT),
@@ -79,18 +86,31 @@ class PhaseChangeRejected(RuntimeError):
 class ControllerTimer:
     """Signal timer for one intersection, or for several that run the same
     plan from the same start: the engine runs one for the subject and one
-    that every fixed-time intersection shares.
+    that every fixed-time intersection shares.  It counts whole steps, so
+    stage boundaries stay exact for any step that divides one second.
 
-    Internally counts whole simulation steps so stage boundaries stay
-    exact for any step length that divides one second cleanly.
-
-    Call ``tick`` once per simulation step, or only at the steps that
-    ``next_tick`` names: on every step before those a tick would only
-    count up, so the next tick counts the steps it is passed as
-    ``skipped`` first.  The engine does the latter for both of its timers.
+    It advances by events: ``tick`` may be called on every step or only at
+    the ``due`` steps, since a tick before those would only count up.  A
+    tick counts the steps since the last one first, so both ways display
+    the same.  ``log`` holds one (first step, phase, green steps after that
+    step's tick) entry per phase change (see ``interval_rows``), and
+    ``aspect_row`` is the shown phase's row of ``aspects``, indexed by
+    ``MOVEMENT_INDEX``.  A ``request_phase`` made outside a tick shows in
+    them, and in ``due``, from the next tick on.
     """
 
-    def __init__(self, dt: float = 1.0, initial_phase: int = 0) -> None:
+    __slots__ = (
+        "dt", "_yellow_steps", "_all_red_steps", "_min_green_steps", "_decision_steps",
+        "aspects", "current_phase", "pending_target", "_stage_steps", "_green_steps",
+        "_last_tick", "due", "log", "aspect_row",
+    )
+
+    def __init__(
+        self,
+        dt: float = 1.0,
+        initial_phase: int = 0,
+        aspects: Sequence[tuple[int, ...]] = ASPECTS_PROTECTED,
+    ) -> None:
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be a positive finite number, got {dt}")
         if initial_phase not in GREEN_PHASES:
@@ -100,110 +120,104 @@ class ControllerTimer:
         self._all_red_steps = _exact_steps(ALL_RED_DURATION, dt, "all_red")
         self._min_green_steps = _exact_steps(MIN_GREEN, dt, "min_green")
         self._decision_steps = _exact_steps(DECISION_PERIOD, dt, "decision_period")
+        self.aspects = aspects
         self.current_phase = initial_phase
-        self.stage = STAGE_GREEN
         self.pending_target: int | None = None
-        self._stage_steps = 0
-        self._green_steps = 0
+        self._stage_steps = self._green_steps = 0
+        self._last_tick = -1  # the step of the last tick
+        self.due = 0  # the next step whose tick can change anything
+        self.log: list[tuple[int, int, int]] = []
+        self.aspect_row: tuple[int, ...] = aspects[initial_phase]
+
+    @property
+    def stage(self) -> str:
+        return PHASE_STAGES[self.current_phase]
 
     @property
     def green_elapsed(self) -> float:
         return self._green_steps * self.dt
 
-    @property
-    def green_steps(self) -> int:
-        """Steps the current green has displayed; in a transition, the
-        steps the green before it displayed."""
-        return self._green_steps
-
     def request_phase(self, proposed: int) -> "ControllerTimer":
         """Begin a transition toward ``proposed``; no-op if already there."""
         if proposed not in GREEN_PHASES:
             raise ValueError(f"proposed phase must be one of {GREEN_PHASES}, got {proposed}")
-        if self.stage != STAGE_GREEN:
-            raise PhaseChangeRejected(
-                f"phase change to {proposed} rejected during {self.stage} stage"
-            )
+        stage = self.stage
+        if stage != STAGE_GREEN:
+            raise PhaseChangeRejected(f"phase change to {proposed} rejected during {stage} stage")
         if proposed == self.current_phase:
             return self
         self.pending_target = proposed
         self.current_phase += 1  # the matching yellow phase
-        self.stage = STAGE_YELLOW
         self._stage_steps = 0
         return self
 
-    def tick(
-        self,
-        step_index: int,
-        decision_source: Callable[[], int] | None = None,
-        skipped: int = 0,
-    ) -> int:
-        """Advance one step and return the phase displayed for it.
+    def tick(self, step_index: int, decision_source: Callable[[], int] | None = None) -> int:
+        """Advance to step ``step_index``, after the last tick's, and return
+        the phase displayed for it.
 
-        ``decision_source`` is consulted only in a green stage, on the
-        decision cadence, and once the green has displayed strictly
-        longer than the minimum green time.  ``skipped`` is the number of
-        steps since the last tick that were not ticked; each counts up as
-        a tick before ``next_tick`` would have.
+        The steps since the last tick count up first.  ``decision_source``
+        is consulted only in a green stage, on the decision cadence, and
+        once the green has displayed strictly longer than the minimum green
+        time.  A phase change is logged and shown in ``aspect_row``, and
+        ``due`` becomes the first step after this one whose tick can roll
+        the stage over or consult the source.
         """
-        if skipped:
-            self._stage_steps += skipped
-            if self.stage == STAGE_GREEN:
-                self._green_steps += skipped
-        # Stage rollovers that fall due exactly now.
-        if self.stage == STAGE_YELLOW and self._stage_steps >= self._yellow_steps:
-            self.stage = STAGE_ALL_RED
-            self.current_phase = ALL_RED_PHASE
+        skipped = step_index - self._last_tick - 1
+        if skipped < 0:
+            raise ValueError(f"step {step_index} is not after the last tick's, {self._last_tick}")
+        self._last_tick = step_index
+        phase = self.current_phase
+        green = phase in GREEN_PHASES
+        self._stage_steps += skipped
+        if green:
+            self._green_steps += skipped
+        elif phase == ALL_RED_PHASE:  # stage rollovers that fall due exactly now
+            if self._stage_steps >= self._all_red_steps:
+                assert self.pending_target is not None
+                phase = self.current_phase = self.pending_target
+                green = True
+                self.pending_target = None
+                self._stage_steps = self._green_steps = 0
+        elif self._stage_steps >= self._yellow_steps:
+            phase = self.current_phase = ALL_RED_PHASE
             self._stage_steps = 0
-        elif self.stage == STAGE_ALL_RED and self._stage_steps >= self._all_red_steps:
-            assert self.pending_target is not None
-            self.stage = STAGE_GREEN
-            self.current_phase = self.pending_target
-            self.pending_target = None
-            self._stage_steps = 0
-            self._green_steps = 0
 
         if (
-            decision_source is not None
-            and self.stage == STAGE_GREEN
+            green
+            and decision_source is not None
             and step_index % self._decision_steps == 0
             and self._green_steps > self._min_green_steps
         ):
             proposed = decision_source()
-            if proposed != self.current_phase:
-                self.request_phase(proposed)
+            if proposed != phase:
+                phase = self.request_phase(proposed).current_phase
+                green = False
 
-        phase = self.current_phase
         self._stage_steps += 1
-        if self.stage == STAGE_GREEN:
+        if green:
             self._green_steps += 1
+            # The green steps at the start of step step_index + m are
+            # _green_steps + m - 1; the source wants more than the minimum.
+            m = max(1, self._min_green_steps + 2 - self._green_steps)
+            self.due = -(-(step_index + m) // self._decision_steps) * self._decision_steps
+        else:
+            length = self._all_red_steps if phase == ALL_RED_PHASE else self._yellow_steps
+            self.due = step_index + 1 + length - self._stage_steps
+        log = self.log
+        if not log or phase != log[-1][1]:
+            log.append((step_index, phase, self._green_steps))
+            self.aspect_row = self.aspects[phase]
         return phase
-
-    def next_tick(self, step_index: int) -> int:
-        """The first step after ``step_index``, the step just ticked, whose
-        tick can roll the stage over or consult the decision source.
-
-        A transition rolls over once its stage has displayed its length.  A
-        green consults the source on the first decision step at which it
-        has displayed longer than the minimum: the green steps at the
-        start of step ``step_index + m`` are ``green_steps + m - 1``.
-        """
-        if self.stage == STAGE_YELLOW:
-            return step_index + 1 + self._yellow_steps - self._stage_steps
-        if self.stage == STAGE_ALL_RED:
-            return step_index + 1 + self._all_red_steps - self._stage_steps
-        eligible = max(step_index + 1, step_index + 2 + self._min_green_steps - self._green_steps)
-        return -(-eligible // self._decision_steps) * self._decision_steps
 
 
 def interval_rows(
-    log: Sequence[tuple[int, int, str, int]], dt: float, stop: int
+    log: Sequence[tuple[int, int, int]], dt: float, stop: int
 ) -> Iterator[tuple[int, str, float]]:
     """The (phase, stage, green_elapsed) of each step before ``stop`` of a
-    timer whose display is logged as intervals.
+    timer whose display is logged as intervals, as ``ControllerTimer.log``.
 
-    Each ``log`` entry is (first step, phase, stage, green steps after that
-    step's tick), appended whenever the displayed phase changes; the first
+    Each ``log`` entry is (first step, phase, green steps after that step's
+    tick), appended whenever the displayed phase changes; the first
     entry's step is 0 and ``stop`` is after the last entry's.  A green
     counts one green step per step, a transition holds the green steps of
     the green before it, and ``green_elapsed`` is a whole number of steps
@@ -211,7 +225,8 @@ def interval_rows(
     """
     ends = [entry[0] for entry in log[1:]]
     ends.append(stop)
-    for (first, phase, stage, green), end in zip(log, ends):
+    for (first, phase, green), end in zip(log, ends):
+        stage = PHASE_STAGES[phase]
         if stage == STAGE_GREEN:
             for k in range(first, end):
                 yield phase, stage, (green + k - first) * dt

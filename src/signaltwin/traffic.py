@@ -49,7 +49,6 @@ from .signals import (
     A_GREEN,
     A_YELLOW,
     ASPECTS_PERMISSIVE,
-    ASPECTS_PROTECTED,
     GREEN_PHASE_FOR_MOVEMENT,
     MOVEMENT_INDEX,
     ControllerTimer,
@@ -63,10 +62,6 @@ STOP_LINE_MARGIN = 1.0
 # Split (s) of each phase of the fixed two-phase plan that every
 # intersection except the subject runs.
 FIXED_SPLIT = 30.0
-
-# The signal ahead of a segment, an index into Simulation._displays and
-# _aspect_rows: none (an exit stub), the subject's or the fixed plan's.
-_NO_SIGNAL, _SUBJECT, _FIXED = 0, 1, 2
 
 # How departures are spread over time: exponential headways or even spacing.
 DEPARTURE_MODES = ("poisson", "uniform")
@@ -201,6 +196,15 @@ class VehicleParams:
             raise ValueError("length, max_accel and max_decel must be positive")
         if self.min_gap < 0.0:
             raise ValueError("min_gap must be >= 0")
+
+
+def _check_vehicle_fits(network: Network, params: VehicleParams) -> None:
+    """Raise ValueError, naming ``length``, if a vehicle and its minimum
+    gap are longer than the network's shortest segment."""
+    seg = min(network.segments.values(), key=lambda s: s.length)
+    if params.length + params.min_gap > seg.length:
+        raise ValueError(f"length ({params.length} m) plus min_gap ({params.min_gap} m) is "
+                         f"longer than the shortest segment, {seg.id} ({seg.length} m)")
 
 
 class Departure(NamedTuple):
@@ -364,14 +368,14 @@ class _SegmentState:
         "signal", "lanes", "pocket", "sweep", "sweep_constants",
     )
 
-    def __init__(self, index: int, seg, signal: int) -> None:
+    def __init__(self, index: int, seg, signal: ControllerTimer | None) -> None:
         self.index = index  # position in Simulation._state_list
         self.seg_id = seg.id
         self.length = seg.length
         self.vff = seg.free_flow_speed
         self.lane_count = seg.lane_count
         self.pocket_start = seg.pocket_start
-        self.signal = signal  # _NO_SIGNAL, _SUBJECT or _FIXED
+        self.signal = signal  # the timer ahead; None for an exit stub
         self.lanes: list[list[Vehicle]] = [[] for _ in range(seg.lane_count)]
         self.pocket: list[Vehicle] | None = [] if seg.has_pocket else None
         # Lanes in sweep order: the pocket first, then the through lanes.
@@ -392,20 +396,6 @@ class _SegmentState:
 
     def vehicle_count(self) -> int:
         return sum(len(lane) for lane in self.sweep)
-
-
-class _Display:
-    """A signal timer as the engine runs it: ticked only at the steps its
-    ``next_tick`` names, its display logged as (first step, phase, stage,
-    green steps) intervals (see ``signals.interval_rows``)."""
-
-    __slots__ = ("timer", "log", "aspects", "last_tick")
-
-    def __init__(self, dt: float, aspects: tuple[tuple[int, ...], ...]) -> None:
-        self.timer = ControllerTimer(dt)
-        self.log: list[tuple[int, int, str, int]] = []
-        self.aspects = aspects
-        self.last_tick = -1  # the step of the timer's last tick
 
 
 @dataclass
@@ -475,6 +465,7 @@ class Simulation:
         self.seed = seed
         self.clock = clock or SimClock()
         self.params = vehicle or VehicleParams()
+        _check_vehicle_fits(network, self.params)
         self.carryover_turns = carryover_turns
         self.scenario_id = scenario_id
         self._traj_sink = trajectory_sink
@@ -486,34 +477,25 @@ class Simulation:
 
         subject = network.subject_intersection
         segments = network.segments
-        signal_at = {**dict.fromkeys(network.nodes, _FIXED), subject: _SUBJECT}
+        # Signals: the subject intersection runs the adaptive nine-phase
+        # plan with protected lefts; every other one runs the same fixed-time
+        # two-phase plan with permissive lefts from the same start, on one
+        # shared timer.
+        self._subject_timer = ControllerTimer(self.dt)
+        self._fixed_timer = ControllerTimer(self.dt, aspects=ASPECTS_PERMISSIVE)
+        signal_at = {**dict.fromkeys(network.nodes, self._fixed_timer),
+                     subject: self._subject_timer}
         self._states: dict[str, _SegmentState] = {
-            seg_id: _SegmentState(
-                i, segments[seg_id], signal_at.get(segments[seg_id].to_node, _NO_SIGNAL)
-            )
+            seg_id: _SegmentState(i, segments[seg_id], signal_at.get(segments[seg_id].to_node))
             for i, seg_id in enumerate(sorted(segments))
         }
         self._state_list = list(self._states.values())
         # Indices into _state_list of the segments that hold a vehicle.
         self._occupied: set[int] = set()
-
-        # Signals: the subject intersection runs the adaptive nine-phase
-        # plan with protected lefts; every other one runs the same fixed-time
-        # two-phase plan with permissive lefts from the same start, on one
-        # shared timer.  Nodes are logged in sorted order.
-        self._signal_nodes = sorted(network.nodes)
-        self._subject_node = subject
-        # Per _SegmentState.signal: its display, and the aspect row it shows
-        # this step, indexed by MOVEMENT_INDEX.
-        self._displays = (
-            None, _Display(self.dt, ASPECTS_PROTECTED), _Display(self.dt, ASPECTS_PERMISSIVE)
-        )
-        self._aspect_rows: list[tuple[int, ...] | None] = [None, None, None]
         # The fixed source's cycle and split, in steps.
         self._fixed_cycle = round(2 * FIXED_SPLIT / self.dt), round(FIXED_SPLIT / self.dt)
-        # The steps at which _tick_signals acts next: each timer's next tick
-        # and the earlier of the two.
-        self._next_subject = self._next_fixed = self._next_signal = 0
+        # The step at which _tick_signals acts next: the earlier timer's due step.
+        self._next_signal = 0
         # Per subject approach: its through lanes and its pocket, their
         # movement indices, and their lane-miles.
         self._subject_approaches = tuple(
@@ -600,7 +582,7 @@ class Simulation:
         # DecisionInput's check, with a fast accept: min finds a negative
         # value and the sum a NaN or an infinity.
         if not (min(values) >= 0.0 and sum(values) < math.inf):
-            DecisionInput(tuple(values), self._subject_node, self.t)
+            DecisionInput(tuple(values), self.network.subject_intersection, self.t)
         return GREEN_PHASE_FOR_MOVEMENT[chain_winner(values)]
 
     def _decision_values(self) -> list[float]:
@@ -706,36 +688,24 @@ class Simulation:
     # -- signals ---------------------------------------------------------------
 
     def _tick_signals(self, k: int) -> None:
-        """Set the aspect rows of step ``k``.
+        """Tick at step ``k`` each of the two timers, the subject's and the
+        one the fixed-time intersections share, whose ``due`` step it is.
 
-        Each timer, the subject's and the one the fixed-time intersections
-        share, is ticked only at the steps its ``next_tick`` names, and its
-        aspect row changes only there; on every other step this returns at
-        once.  The fixed timer's source reads the step being ticked: phase
-        0 in the first split of each cycle, phase 2 in the second.
+        A timer's aspect row changes only at those ticks, so on every other
+        step this returns at once.  The fixed timer's source reads the step
+        being ticked: phase 0 in the first split of each cycle, phase 2 in
+        the second.
         """
         if k < self._next_signal:
             return
-        if k == self._next_fixed:
+        fixed, subject = self._fixed_timer, self._subject_timer
+        if k == fixed.due:
             cycle, split = self._fixed_cycle
-            self._next_fixed = self._tick(_FIXED, k, lambda: 0 if k % cycle < split else 2)
-        if k == self._next_subject:
+            fixed.tick(k, lambda: 0 if k % cycle < split else 2)
+        if k == subject.due:
             # Looked up on each tick, so a replacement set on the instance is used.
-            self._next_subject = self._tick(_SUBJECT, k, self._subject_decision)
-        self._next_signal = min(self._next_fixed, self._next_subject)
-
-    def _tick(self, signal: int, k: int, source: Callable[[], int]) -> int:
-        """Tick the timer of ``signal`` (_SUBJECT or _FIXED) at step ``k``
-        with decision ``source``, log a phase change and show it in the
-        aspect row; return the timer's next tick."""
-        display = self._displays[signal]
-        timer, log = display.timer, display.log
-        phase = timer.tick(k, source, k - display.last_tick - 1)
-        display.last_tick = k
-        if not log or phase != log[-1][1]:
-            log.append((k, phase, timer.stage, timer.green_steps))
-            self._aspect_rows[signal] = display.aspects[phase]
-        return timer.next_tick(k)
+            subject.tick(k, self._subject_decision)
+        self._next_signal = min(fixed.due, subject.due)
 
     def signal_lines(self) -> Iterator[str]:
         """The body of ``signals.csv``, the one definition of its rows: per
@@ -744,27 +714,28 @@ class Simulation:
         each ending in ``\n``.
 
         The subject's rows and the fixed-time nodes' are expanded from the
-        two timers' interval logs.  Each distinct fixed row's node lines
-        are formatted once per call, without their time, and the subject's
-        line through a memo of its own: a run shows few distinct rows.  A
-        row's ``green_elapsed`` is a whole number of steps times ``dt``,
-        never ``-0.0``, which the memos' keys could not tell from ``0.0``.
+        two timers' logs by ``interval_rows``.  Each distinct fixed row's
+        node lines are formatted once per call, without their time, and the
+        subject's line through a memo of its own: a run shows few distinct
+        rows.  A row's ``green_elapsed`` is a whole number of steps times
+        ``dt``, never ``-0.0``, which the memos' keys could not tell from
+        ``0.0``.
         """
-        nodes, dt, stop = self._signal_nodes, self.dt, self._step_index
-        at = nodes.index(self._subject_node)
-        subject = f",{self._subject_node},"
+        nodes, dt, stop = sorted(self.network.nodes), self.dt, self._step_index
+        subject = self.network.subject_intersection
+        at = nodes.index(subject)
         # Per fixed row, every node's line after the time; the subject's
         # entry is replaced in each step.
         fixed_memo: dict[tuple[int, str, float], list[str]] = {}
         memo: dict[tuple[int, str, float], str] = {}
-        logs = (self._displays[_SUBJECT].log, self._displays[_FIXED].log)
+        logs = (self._subject_timer.log, self._fixed_timer.log)
         for k, (own, fixed) in enumerate(zip(*(interval_rows(log, dt, stop) for log in logs))):
             lines = fixed_memo.get(fixed) or fixed_memo.setdefault(
                 fixed, [f",{node},{fixed[0]},{fixed[1]},{fixed[2]!r}\n" for node in nodes]
             )
             lines = lines.copy()
             lines[at] = memo.get(own) or memo.setdefault(
-                own, f"{subject}{own[0]},{own[1]},{own[2]!r}\n"
+                own, f",{subject},{own[0]},{own[1]},{own[2]!r}\n"
             )
             t = repr(k * dt)
             yield t + t.join(lines)
@@ -800,14 +771,13 @@ class Simulation:
         two_decel = 2.0 * params.max_decel
         lookahead, margin, stop_speed = SIGNAL_LOOKAHEAD, STOP_LINE_MARGIN, STOP_SPEED_THRESHOLD
         green, yellow, sqrt = A_GREEN, A_YELLOW, math.sqrt
-        aspect_rows = self._aspect_rows
         cross = self._cross
         states = self._state_list
         occupied = self._occupied
         for index in sorted(occupied):
             st = states[index]
             lanes, vff, seg_len, cross_at, pocket, pocket_start, signal = st.sweep_constants
-            displays = aspect_rows[signal]
+            displays = None if signal is None else signal.aspect_row
             left = False  # a vehicle crossed out of this segment
             for lane, to_pocket in lanes:
                 n = len(lane)
@@ -934,7 +904,7 @@ class Simulation:
         # The roll-over carries the stopped delay incurred on the approach
         # being left; at the subject that is the movement's measurement.
         ledger = on_approach_transition(veh.ledger)
-        if st.signal == _SUBJECT:
+        if st.signal is self._subject_timer:
             self._movement_stops[veh.stop_movement].append((t_out, ledger.carried_over))
             self._control_delays.append(
                 (t_out, segment_delay(veh.entry_time, t_out, st.length, st.vff))

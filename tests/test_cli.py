@@ -425,6 +425,13 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
         pytest.param("simulate", {"vehicle": {"length": 0}}, "length", id="vehicle-length-zero"),
         pytest.param("simulate", {"vehicle": {"depart_speed": 7}}, "vehicle.depart_speed",
                      id="vehicle-depart-speed-removed"),
+        pytest.param("simulate", {"vehicle": {"length": 1e6}}, "vehicle.length (1000000.0 m)",
+                     id="simulate-vehicle-longer-than-segment"),
+        pytest.param("compare", {"vehicle": {"length": 398.0}, "algorithms": ["baseline", "dt1"]},
+                     "vehicle.length (398.0 m) plus min_gap (2.5 m) is longer than the "
+                     "shortest segment", id="compare-vehicle-longer-than-segment"),
+        pytest.param("twin", {"vehicle": {"length": 1e6}}, "vehicle.length (1000000.0 m)",
+                     id="twin-vehicle-longer-than-segment"),
         pytest.param("simulate", {"algorithm": "dt1"}, "algorithm", id="algorithm-alias-removed"),
         pytest.param("simulate", {"seed": "x"}, "seed", id="seed-string"),
         pytest.param("simulate", {"seed": True}, "seed", id="seed-bool"),
@@ -503,6 +510,27 @@ def test_every_command_checks_the_twin_section(tmp_path, capsys, command, extra,
     assert run_cli(command, "--config", str(cfg), "--out", str(out), *flags) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        pytest.param("simulate", {}, id="simulate"),
+        pytest.param("compare", {"algorithms": ["baseline", "dt1"]}, id="compare"),
+        pytest.param("twin", {}, id="twin"),
+    ],
+)
+def test_unusable_out_exit_2(tmp_path, capsys, command, extra, under):
+    # An out that is a regular file, or lies under one, cannot be made a
+    # run directory; it is refused before anything is written.
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    cfg = small_config(tmp_path, **extra)
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert f"config error: out: {afile} is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
 
 
 def _network_file(tmp_path, mutate=None):

@@ -214,32 +214,21 @@ def test_timer_checks_dt_itself(dt):
 
 def _run_scripted(dt, initial, proposals, n_steps, on_events):
     """Run a timer for ``n_steps`` steps whose source hands out ``proposals``
-    in turn, ticking every step or, if ``on_events``, only at the steps
-    ``next_tick`` names, as the engine does.  Returns each step's
-    (phase, stage, green_elapsed), the steps that consulted the source and
-    the number of ticks."""
+    in turn, ticking every step or, if ``on_events``, only at its ``due``
+    steps, as the engine does.  Returns the timer, the (phase, stage,
+    green_elapsed) after each tick and the steps that consulted the source."""
     timer = ControllerTimer(dt, initial)
-    calls = []
+    calls, rows = [], []
 
     def source():
         calls.append(k)
         return proposals[(len(calls) - 1) % len(proposals)]
 
-    log, rows, ticks, last, next_k = [], [], 0, -1, 0
     for k in range(n_steps):
-        if on_events and k < next_k:
+        if on_events and k < timer.due:
             continue
-        phase = timer.tick(k, source, k - last - 1)
-        ticks, last = ticks + 1, k
-        if on_events:
-            next_k = timer.next_tick(k)
-            if not log or phase != log[-1][1]:
-                log.append((k, phase, timer.stage, timer.green_steps))
-        else:
-            rows.append((phase, timer.stage, timer.green_elapsed))
-    if on_events:
-        rows = list(interval_rows(log, dt, n_steps))
-    return rows, calls, ticks
+        rows.append((timer.tick(k, source), timer.stage, timer.green_elapsed))
+    return timer, rows, calls
 
 
 @settings(max_examples=100, deadline=None)
@@ -251,10 +240,67 @@ def _run_scripted(dt, initial, proposals, n_steps, on_events):
 def test_event_ticks_match_every_step_ticks(dt, initial, proposals):
     # Proposals may repeat the phase shown, which starts no transition.
     n_steps = round(240.0 / dt)
-    every_rows, every_calls, _ = _run_scripted(dt, initial, proposals, n_steps, False)
-    event_rows, event_calls, ticks = _run_scripted(dt, initial, proposals, n_steps, True)
+    every, every_rows, every_calls = _run_scripted(dt, initial, proposals, n_steps, False)
+    events, event_rows, event_calls = _run_scripted(dt, initial, proposals, n_steps, True)
     assert event_calls == every_calls
-    assert len(event_rows) == n_steps
-    for k, (got, want) in enumerate(zip(event_rows, every_rows)):
+    assert events.log == every.log
+    rows = list(interval_rows(events.log, dt, n_steps))
+    assert len(rows) == n_steps
+    for k, (got, want) in enumerate(zip(rows, every_rows)):
         assert got == want and got[2].hex() == want[2].hex(), k
-    assert ticks < n_steps // 2
+    assert len(event_rows) < n_steps // 2
+
+
+def _state(timer):
+    return timer.current_phase, timer.pending_target, timer.green_elapsed, timer.due
+
+
+def test_a_later_tick_counts_the_steps_between():
+    # A timer ticked only at some steps ends each of them as one ticked on
+    # every step does: in a green, in the yellow a decision starts, at the
+    # all-red the yellow rolls over to, and in the next green.
+    def source():
+        return 2
+
+    every, gaps = ControllerTimer(1.0), ControllerTimer(1.0)
+    for k in range(21):
+        phase = every.tick(k, source)
+        if k in (0, 7, 10, 12, 13, 16, 20):
+            assert gaps.tick(k, source) == phase, k
+            assert _state(gaps) == _state(every), k
+    assert _state(gaps) == (2, None, 8.0, 25)
+    assert gaps.log == every.log == [(0, 0, 1), (10, 1, 10), (12, 8, 10), (13, 2, 1)]
+    with pytest.raises(ValueError, match="not after the last tick"):
+        gaps.tick(20)
+
+
+def test_log_holds_one_entry_per_phase_change():
+    # Proposals that repeat the green shown change nothing and add no entry.
+    timer = ControllerTimer(dt=0.5)
+    proposals = {20: 0, 30: 6, 60: 6, 80: 2, 100: 4, 120: 4}
+    expected, last = [], None
+    for k in range(150):
+        phase = timer.tick(k, lambda k=k: proposals.get(k, timer.current_phase))
+        if phase != last:
+            expected.append((k, phase, round(timer.green_elapsed / 0.5)))
+            last = phase
+    assert timer.log == expected
+    assert [phase for _, phase, _ in expected] == [0, 1, 8, 6, 7, 8, 2, 3, 8, 4]
+
+
+@pytest.mark.parametrize("aspects", [ASPECTS_PROTECTED, ASPECTS_PERMISSIVE],
+                         ids=["protected", "permissive"])
+def test_stage_and_aspect_row_follow_the_phase(aspects):
+    timer = ControllerTimer(dt=1.0, aspects=aspects)
+    assert timer.aspect_row is aspects[0]
+    stages = []
+    for k in range(40):
+        phase = timer.tick(k, lambda k=k: {10: 6, 20: 2}.get(k, timer.current_phase))
+        assert timer.aspect_row is aspects[phase], k
+        stages.append(timer.stage)
+    assert stages == (
+        ["green"] * 10 + ["yellow"] * 2 + ["all_red"] + ["green"] * 7
+        + ["yellow"] * 2 + ["all_red"] + ["green"] * 17
+    )
+    with pytest.raises(AttributeError):
+        timer.stage = "green"

@@ -7,7 +7,7 @@ import pytest
 
 from signaltwin import traffic
 from signaltwin.network import build_grid
-from signaltwin.signals import ControllerTimer, interval_rows
+from signaltwin.signals import GREEN_PHASES, ControllerTimer, interval_rows
 from signaltwin.traffic import (
     Departure,
     DemandScenario,
@@ -325,9 +325,9 @@ def test_signals_writer_matches_per_step_timers(grid3, dt):
     assert len({phase for _, node, phase, _, _ in signal_rows(sim) if node == subject}) > 2
     # Each log holds one interval per phase change, and the fixed timer
     # starts at least three greens of each of its two phases.
-    logs = [sim._displays[signal].log for signal in (traffic._SUBJECT, traffic._FIXED)]
+    logs = [sim._subject_timer.log, sim._fixed_timer.log]
     assert all(a[1] != b[1] for log in logs for a, b in zip(log, log[1:]))
-    fixed_greens = [phase for _, phase, stage, _ in logs[1] if stage == "green"]
+    fixed_greens = [phase for _, phase, _ in logs[1] if phase in GREEN_PHASES]
     assert min(fixed_greens.count(0), fixed_greens.count(2)) >= 3
 
     replay = iter(decisions)
@@ -492,7 +492,7 @@ def test_spillback_blocks_crossing_on_green():
         sim.step()
         assert sim.inserted - sim.exited == sim.vehicles_on_network()
         # The aspect row the sweep read for the entry segment in this step.
-        display = sim._aspect_rows[entry.signal]
+        display = entry.signal.aspect_row
         assert display is not None
         aspects_read += 1
         lane = entry.lanes[0]
@@ -540,6 +540,14 @@ def test_clock_validation():
         SimClock(dt=-1.0)
 
 
+def test_vehicle_must_fit_on_the_shortest_segment(grid3):
+    # A vehicle and its minimum gap may fill the shortest segment exactly.
+    shortest = min(seg.length for seg in grid3.segments.values())
+    Simulation(grid3, vehicle=VehicleParams(length=shortest - 2.5))
+    with pytest.raises(ValueError, match=r"^length \(.* is longer than the shortest segment"):
+        Simulation(grid3, vehicle=VehicleParams(length=shortest - 2.0))
+
+
 def test_simulation_rejects_flow_and_schedule_mix(grid3):
     with pytest.raises(ValueError):
         Simulation(
@@ -557,11 +565,11 @@ def test_simulation_rejects_flow_and_schedule_mix(grid3):
 )
 def test_fixed_plan_table_matches_a_running_timer(grid3, dt, prefix, cycle):
     # The fixed-time intersections' timer, as the engine ticks it only at
-    # the steps its next_tick names, displays bit for bit what a timer
-    # ticked on every step does.  That timer's state repeats every
-    # ``cycle`` steps from step ``prefix`` on; its rows repeat from one
-    # step earlier, where it still holds the first green's length, which
-    # is longer than the later greens'.
+    # its due steps, displays bit for bit what a timer ticked on every step
+    # does.  That timer's state (phase, pending target and step counts)
+    # repeats every ``cycle`` steps from step ``prefix`` on; its rows
+    # repeat from one step earlier, where it still holds the first green's
+    # length, which is longer than the later greens'.
     sim = Simulation(
         grid3, flows=(), algorithm="baseline", seed=0,
         clock=SimClock(dt=dt, horizon=240.0, warmup=0.0, cooldown=0.0),
@@ -569,14 +577,16 @@ def test_fixed_plan_table_matches_a_running_timer(grid3, dt, prefix, cycle):
     sim.run()
     stop = sim.clock.n_steps
     assert stop >= prefix + 3 * cycle
-    log = sim._displays[traffic._FIXED].log
+    log = sim._fixed_timer.log
     rows = list(interval_rows(log, dt, stop))
     assert len(rows) == stop
     period, split = round(2 * traffic.FIXED_SPLIT / dt), round(traffic.FIXED_SPLIT / dt)
     timer = ControllerTimer(dt)
     states = []  # the timer's state before each step's tick
     for k in range(stop):
-        states.append(tuple(vars(timer).values()))
+        states.append(
+            (timer.current_phase, timer.pending_target, timer._stage_steps, timer._green_steps)
+        )
         phase = timer.tick(k, lambda: 0 if k % period < split else 2)
         assert rows[k] == (phase, timer.stage, timer.green_elapsed), k
         assert rows[k][2].hex() == timer.green_elapsed.hex(), k  # bit for bit
@@ -584,7 +594,7 @@ def test_fixed_plan_table_matches_a_running_timer(grid3, dt, prefix, cycle):
     assert states[prefix - 1] != states[prefix - 1 + cycle]
     assert all(rows[k] == rows[k + cycle] for k in range(prefix - 1, stop - cycle))
     assert rows[prefix - 2] != rows[prefix - 2 + cycle]
-    lengths = [b[0] - a[0] for a, b in zip(log, log[1:]) if a[2] == "green"]
+    lengths = [b[0] - a[0] for a, b in zip(log, log[1:]) if a[1] in GREEN_PHASES]
     assert lengths[0] > max(lengths[1:])
 
 
