@@ -79,10 +79,6 @@ def phase_for_movement(phase: int, movement: Movement) -> str:
     return ASPECT_NAMES[ASPECTS_PROTECTED[phase][MOVEMENT_INDEX[movement]]]
 
 
-class PhaseChangeRejected(RuntimeError):
-    """A phase change was requested while a transition was in progress."""
-
-
 class ControllerTimer:
     """Signal timer for one intersection, or for several that run the same
     plan from the same start: the engine runs one for the subject and one
@@ -92,11 +88,12 @@ class ControllerTimer:
     It advances by events: ``tick`` may be called on every step or only at
     the ``due`` steps, since a tick before those would only count up.  A
     tick counts the steps since the last one first, so both ways display
-    the same.  ``log`` holds one (first step, phase, green steps after that
-    step's tick) entry per phase change (see ``interval_rows``), and
-    ``aspect_row`` is the shown phase's row of ``aspects``, indexed by
-    ``MOVEMENT_INDEX``.  A ``request_phase`` made outside a tick shows in
-    them, and in ``due``, from the next tick on.
+    the same.  A phase change is requested only by the decision source
+    that a tick consults, so ``log``, ``aspect_row`` and ``due`` always
+    hold the displayed phase.  ``log`` holds one (first step, phase, green
+    steps after that step's tick) entry per phase change (see
+    ``interval_rows``), and ``aspect_row`` is the shown phase's row of
+    ``aspects``, indexed by ``MOVEMENT_INDEX``.
     """
 
     __slots__ = (
@@ -137,34 +134,26 @@ class ControllerTimer:
     def green_elapsed(self) -> float:
         return self._green_steps * self.dt
 
-    def request_phase(self, proposed: int) -> "ControllerTimer":
-        """Begin a transition toward ``proposed``; no-op if already there."""
-        if proposed not in GREEN_PHASES:
-            raise ValueError(f"proposed phase must be one of {GREEN_PHASES}, got {proposed}")
-        stage = self.stage
-        if stage != STAGE_GREEN:
-            raise PhaseChangeRejected(f"phase change to {proposed} rejected during {stage} stage")
-        if proposed == self.current_phase:
-            return self
-        self.pending_target = proposed
-        self.current_phase += 1  # the matching yellow phase
-        self._stage_steps = 0
-        return self
-
     def tick(self, step_index: int, decision_source: Callable[[], int] | None = None) -> int:
         """Advance to step ``step_index``, after the last tick's, and return
         the phase displayed for it.
 
-        The steps since the last tick count up first.  ``decision_source``
-        is consulted only in a green stage, on the decision cadence, and
-        once the green has displayed strictly longer than the minimum green
-        time.  A phase change is logged and shown in ``aspect_row``, and
+        The steps since the last tick count up first; a step after ``due``
+        is refused, since the tick at ``due`` may roll the stage over or
+        consult the source.  ``decision_source`` is consulted only in a
+        green stage, on the decision cadence, and once the green has
+        displayed strictly longer than the minimum green time; a proposal
+        of another green phase starts the transition to it through yellow
+        and all-red, and one of a phase that is not green-serving is
+        refused.  A phase change is logged and shown in ``aspect_row``, and
         ``due`` becomes the first step after this one whose tick can roll
         the stage over or consult the source.
         """
         skipped = step_index - self._last_tick - 1
         if skipped < 0:
             raise ValueError(f"step {step_index} is not after the last tick's, {self._last_tick}")
+        if step_index > self.due:
+            raise ValueError(f"step {step_index} is after the due step, {self.due}")
         self._last_tick = step_index
         phase = self.current_phase
         green = phase in GREEN_PHASES
@@ -190,7 +179,13 @@ class ControllerTimer:
         ):
             proposed = decision_source()
             if proposed != phase:
-                phase = self.request_phase(proposed).current_phase
+                if proposed not in GREEN_PHASES:
+                    raise ValueError(
+                        f"proposed phase must be one of {GREEN_PHASES}, got {proposed}"
+                    )
+                self.pending_target = proposed
+                phase = self.current_phase = phase + 1  # the matching yellow phase
+                self._stage_steps = 0
                 green = False
 
         self._stage_steps += 1

@@ -20,8 +20,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
+from ._rng import exponentials, seed_words
 from .controllers import (
     DecisionInput,
     chain_winner,
@@ -127,8 +126,9 @@ def _check_distinct_pairs(flows: Sequence[Flow], where: str) -> None:
 
 
 def _check_seed(seed: int) -> None:
-    """Raise ValueError, naming ``seed``, if it is negative: numpy's
-    seed sequences refuse one, and the CLI refuses it as a config error."""
+    """Raise ValueError, naming ``seed``, if it is negative: a random
+    stream's entropy cannot hold one, and the CLI refuses it as a config
+    error."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
@@ -217,13 +217,15 @@ class Departure(NamedTuple):
 DepartureRow = tuple[float, int, str, str, float]
 
 
-def stream_seed(seed: int, label: str) -> np.random.SeedSequence:
-    """Derive an independent random stream from a root seed and a label.
+def stream_seed(seed: int, label: str) -> tuple[int, int, int, int]:
+    """Derive an independent random stream's seed words from a root seed
+    and a label: ``seed_words([seed, word])``, where ``word`` is the first
+    8 bytes of the label's sha256, big-endian.
 
     Adding new labelled streams never perturbs existing ones.
     """
     digest = hashlib.sha256(label.encode()).digest()
-    return np.random.SeedSequence([seed, int.from_bytes(digest[:8], "big")])
+    return seed_words((seed, int.from_bytes(digest[:8], "big")))
 
 
 def label_seed(seed: int, label: str) -> int:
@@ -258,15 +260,14 @@ def generate_departures(
         spacing = 3600.0 / flow.vph
         times = [i * spacing for i in range(count)]
     else:
-        rng = np.random.default_rng(
-            stream_seed(seed, f"flow:{flow.origin}->{flow.destination}")
+        gaps = exponentials(
+            stream_seed(seed, f"flow:{flow.origin}->{flow.destination}"), 3600.0 / flow.vph
         )
-        scale = 3600.0 / flow.vph
         times = []
-        t = rng.exponential(scale)
+        t = next(gaps)
         while t < horizon:
             times.append(t)
-            t += rng.exponential(scale)
+            t += next(gaps)
     return [Departure(t, flow.origin, flow.destination) for t in times]
 
 

@@ -14,7 +14,6 @@ from signaltwin.signals import (
     MOVEMENT_INDEX,
     PHASE_MOVEMENTS,
     ControllerTimer,
-    PhaseChangeRejected,
     interval_rows,
     phase_for_movement,
 )
@@ -89,31 +88,64 @@ def test_same_phase_proposal_is_noop():
 
 
 def test_request_rejected_mid_transition():
+    # Only a tick's decision source proposes a phase.  It is asked in a
+    # green stage only, so a source that proposes another green whenever
+    # asked is never asked in a yellow or an all-red; and a proposal of a
+    # phase that is not green-serving is refused.
     timer = ControllerTimer(dt=1.0)
-    timer.tick(0, None)
-    timer.request_phase(6)
-    assert timer.stage == "yellow"
-    with pytest.raises(PhaseChangeRejected):
-        timer.request_phase(2)
-    with pytest.raises(ValueError):
-        timer.request_phase(3)  # not a green-serving phase
+    asked = []
+
+    def next_green():
+        asked.append(timer.stage)
+        return (timer.current_phase + 2) % 8
+
+    displayed = [timer.tick(k, next_green) for k in range(120)]
+    assert asked == ["green"] * 11  # at steps 10, 20, ..., 110
+    assert {1, 3, 5, 7, 8} <= set(displayed)
+
+    timer = ControllerTimer(dt=1.0)
+    with pytest.raises(ValueError, match=r"proposed phase must be one of .*, got 3"):
+        for k in range(11):
+            timer.tick(k, lambda: 3)
+    assert k == 10
 
 
 def test_back_to_back_requests_enumeration():
-    # A second request during the transition must not alter the sequence;
-    # compare against the single-request trace over 20 steps.
+    # Proposals on the steps after a change starts must not alter the
+    # sequence; compare against the single-request trace over 20 steps.
     single = ControllerTimer(dt=1.0)
     expected = run_timer(single, 20, {10: 6})
 
     timer = ControllerTimer(dt=1.0)
+    asked = []
+
+    def source():
+        asked.append(k)
+        return 6 if k == 10 else 2
+
     displayed = []
     for k in range(20):
-        phase = timer.tick(k, (lambda: 6) if k == 10 else None)
-        if timer.stage != "green":
-            with pytest.raises(PhaseChangeRejected):
-                timer.request_phase(2)
-        displayed.append(phase)
+        displayed.append(timer.tick(k, source))
     assert displayed == expected
+    assert asked == [10]
+
+
+def test_a_phase_change_is_logged_at_the_tick_that_requests_it():
+    # Only a tick's source requests a change, so the log, aspect row and due
+    # step never go stale: a timer ticked at its due steps logs the yellow
+    # as one ticked on every step does.  A tick after the due step, which
+    # would skip its decision, is refused and changes nothing.
+    every, events = ControllerTimer(dt=1.0), ControllerTimer(dt=1.0)
+    assert not hasattr(events, "request_phase")
+    for k in range(15):
+        every.tick(k, lambda: 2)
+    events.tick(0, lambda: 2)
+    with pytest.raises(ValueError, match=r"^step 11 is after the due step, 10$"):
+        events.tick(11, lambda: 2)
+    while events.due < 15:
+        events.tick(events.due, lambda: 2)
+    assert events.log == every.log == [(0, 0, 1), (10, 1, 10), (12, 8, 10), (13, 2, 1)]
+    assert events.aspect_row is every.aspect_row is ASPECTS_PROTECTED[2]
 
 
 def test_decision_skipped_before_min_green():
