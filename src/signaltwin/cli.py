@@ -514,6 +514,10 @@ def cmd_twin(config: RunConfig) -> int:
     _write_run_artifacts(out_dir, config, run.network, sim.departure_schedule,
                          sim.signal_lines(), result)
     _write_json(manifest, out_dir / "twin_manifest.json")
+    failed = sum(1 for p in manifest["periods"] for job in p["jobs"] if job["error"])
+    if failed:
+        print(f"twin: warning: {failed} failed job(s), see their error in twin_manifest.json",
+              file=sys.stderr)
     degraded = sum(1 for p in manifest["periods"] if p["degraded"])
     if degraded:
         print(f"twin: warning: {degraded} degraded period(s), controller kept", file=sys.stderr)

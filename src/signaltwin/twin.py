@@ -36,7 +36,7 @@ from .traffic import (
 )
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor
+    from concurrent.futures import Executor, Future
 
 def default_dimensions() -> dict[str, str]:
     """The nine descriptive dimensions recorded in every run manifest:
@@ -237,7 +237,8 @@ def _execute_job(
 @contextmanager
 def worker_pool(parallelism: int, n_jobs: int) -> Iterator[Executor | None]:
     """A process pool of ``min(parallelism, n_jobs)`` workers, shut down
-    on exit; None when the jobs run serially in this process."""
+    on exit; None when the jobs run serially in this process.  When the
+    block raises, the jobs still queued are cancelled, not run."""
     if parallelism <= 1 or n_jobs <= 1:
         yield None
         return
@@ -245,8 +246,42 @@ def worker_pool(parallelism: int, n_jobs: int) -> Iterator[Executor | None]:
     # multiprocessing at start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(parallelism, n_jobs)) as pool:
+    pool = ProcessPoolExecutor(max_workers=min(parallelism, n_jobs))
+    try:
         yield pool
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
+
+
+def _submit(
+    network: Network,
+    jobs: Sequence[SimulationJob],
+    pool: Executor | None,
+    vehicle: VehicleParams | None,
+    carryover_turns: bool,
+) -> list[Future]:
+    """Start ``jobs`` and return their futures, in the order of ``jobs``.
+
+    The heaviest jobs start first, by their flows' total vph, so that the
+    longest job does not start last while a worker idles; ties keep the
+    order of ``jobs``.  Without a pool each job runs here, at once, and
+    its future is done.  The order cannot change a result: each job is a
+    pure function of its inputs.
+    """
+    from concurrent.futures import Future
+
+    def start(job: SimulationJob) -> Future:
+        if pool is not None:
+            return pool.submit(_execute_job, network, job, vehicle, carryover_turns)
+        done: Future = Future()
+        done.set_result(_execute_job(network, job, vehicle, carryover_turns))
+        return done
+
+    heaviest_first = sorted(range(len(jobs)), key=lambda i: -sum(f.vph for f in jobs[i].flows))
+    started = {i: start(jobs[i]) for i in heaviest_first}
+    return [started[i] for i in range(len(jobs))]
 
 
 def run_parallel(
@@ -268,12 +303,7 @@ def run_parallel(
     ordered = sorted(jobs, key=lambda j: j.job_id)
     opened = nullcontext(pool) if pool is not None else worker_pool(parallelism, len(ordered))
     with opened as executor:
-        if executor is None:
-            return [_execute_job(network, job, vehicle, carryover_turns) for job in ordered]
-        futures = [
-            executor.submit(_execute_job, network, job, vehicle, carryover_turns)
-            for job in ordered
-        ]
+        futures = _submit(network, ordered, executor, vehicle, carryover_turns)
         return [f.result() for f in futures]
 
 
@@ -394,6 +424,24 @@ def estimate_demand(
     return DemandEstimate(window_length=window, vph=tuple(vph))
 
 
+def _record_outcome(row: dict, result: SimulationResult) -> None:
+    row["score"] = result.mean_control_delay
+    row["error"] = result.error
+
+
+def _collect(behind: list[tuple[dict, Future]], wait: bool) -> list[tuple[dict, Future]]:
+    """Write the score and error of each finished job into its row, all of
+    them if ``wait``; return the jobs still running.  A finished job keeps
+    only these two values, not its result."""
+    running = []
+    for row, future in behind:
+        if wait or future.done():
+            _record_outcome(row, future.result())
+        else:
+            running.append((row, future))
+    return running
+
+
 def live_loop(
     network: Network,
     demand_program: Sequence[DemandPhase],
@@ -416,6 +464,12 @@ def live_loop(
     equal those of the job on every flow, while its unrecorded counts
     (``inserted``, ``exited``, ``deferred_insertions``,
     ``mean_depart_delay``) cover only the slice.
+
+    A period waits only for the jobs of the matched candidate, the only
+    ones the selection reads; a failed one of them leaves the period
+    ``degraded``, with no selection and the controller kept.  The other
+    candidates' jobs finish behind the live run and fill in their rows,
+    so the manifest does not depend on ``parallelism``.
 
     ``trajectory_sink`` receives the live run's trajectory as
     ``Simulation`` hands it over: one string per step, holding that step's
@@ -448,15 +502,19 @@ def live_loop(
     current_token = settings.initial_algorithm
     period_records: list[dict] = []
 
-    # One pool serves every period and is shut down when the loop ends or
+    # One pool serves every period and is shut down when the run ends or
     # raises.  It is opened once the live run has reached the first period,
     # so that the live run's set-up does not include loading it.
     sim.run_until(settings.period)
     with worker_pool(settings.parallelism, len(settings.factors) * len(ALGORITHMS)) as pool:
+        # The other candidates' jobs still running behind the live run,
+        # each with the manifest row it completes.
+        behind: list[tuple[dict, Future]] = []
         for p, t_eval in enumerate(eval_times):
             sim.run_until(t_eval)
             estimate = estimate_demand(sim.flow_insertions, t_eval, settings.estimate_window)
             candidates = forecast_demands(estimate, settings.factors)
+            matched = match_demand(estimate.vph, candidates)
             jobs = []
             for c, cand in enumerate(candidates):
                 flows = tuple(Flow(*ods[i], cand[i], depart_speeds[i]) for i in sliced)
@@ -472,12 +530,32 @@ def live_loop(
                             departure_mode=settings.departure_mode,
                         )
                     )
-            results = run_parallel(
-                network, jobs, settings.parallelism, vehicle, carryover_turns, pool
+            jobs.sort(key=lambda j: j.job_id)
+            rows = [
+                {
+                    "job_id": job.job_id,
+                    "candidate": job.candidate_index,
+                    "algorithm": job.algorithm,
+                    "seed": job.seed,
+                    "score": None,
+                    "error": None,
+                }
+                for job in jobs
+            ]
+            # The selection reads only the matched candidate's jobs: they
+            # start first, and only they are waited for.  The others finish
+            # behind the live run.
+            first = [(job, row) for job, row in zip(jobs, rows) if job.candidate_index == matched]
+            rest = [(job, row) for job, row in zip(jobs, rows) if job.candidate_index != matched]
+            waited = _submit(network, [job for job, _ in first], pool, vehicle, carryover_turns)
+            behind += zip(
+                [row for _, row in rest],
+                _submit(network, [job for job, _ in rest], pool, vehicle, carryover_turns),
             )
-            paired = list(zip(sorted(jobs, key=lambda j: j.job_id), results))
-            degraded = any(res.error for _, res in paired)
-            matched = match_demand(estimate.vph, candidates)
+            matched_results = [(job, future.result()) for (job, _), future in zip(first, waited)]
+            for (_, row), (_, res) in zip(first, matched_results):
+                _record_outcome(row, res)
+            degraded = any(res.error for _, res in matched_results)
             record = {
                 "period": p,
                 "time": t_eval,
@@ -485,23 +563,10 @@ def live_loop(
                 "candidates": [list(c) for c in candidates],
                 "matched_index": matched,
                 "degraded": degraded,
-                "jobs": [
-                    {
-                        "job_id": job.job_id,
-                        "candidate": job.candidate_index,
-                        "algorithm": job.algorithm,
-                        "seed": job.seed,
-                        "score": res.mean_control_delay,
-                        "error": res.error,
-                    }
-                    for job, res in paired
-                ],
+                "jobs": rows,
                 "selection": None,
             }
             if not degraded:
-                matched_results = [
-                    (job, res) for job, res in paired if job.candidate_index == matched
-                ]
                 selection = select_controller(matched_results, matched)
                 record["selection"] = {
                     "algorithm": selection.chosen_algorithm,
@@ -511,8 +576,11 @@ def live_loop(
                     sim.set_algorithm(selection.chosen_algorithm, tag=f"period-{p}")
                     current_token = selection.chosen_algorithm
             period_records.append(record)
+            behind = _collect(behind, wait=False)
+        # The last period's other jobs finish behind the rest of the live run.
+        sim.run_until(clock.horizon)
+        _collect(behind, wait=True)
 
-    sim.run_until(clock.horizon)
     result = sim.result()
     manifest = {
         "schema_version": 1,

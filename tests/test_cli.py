@@ -219,6 +219,41 @@ def test_twin_job_counts_two_periods_three_factors(tmp_path):
     assert sum(len(p["jobs"]) for p in manifest["periods"]) == 18
 
 
+@pytest.mark.parametrize(
+    "label, warnings",
+    [
+        pytest.param("twin:p0:c0:dt1", ["1 failed job(s)"], id="other-candidate"),
+        pytest.param("twin:p1:c1:dt1", ["1 failed job(s)", "1 degraded period(s)"],
+                     id="matched-candidate"),
+    ],
+)
+def test_twin_warns_of_failed_jobs(tmp_path, capsys, monkeypatch, label, warnings):
+    # A failed job outside the matched candidate degrades no period, and
+    # must still not pass in silence.
+    import signaltwin.twin as twin
+    from signaltwin.traffic import Simulation, label_seed
+
+    def simulation(network, **kwargs):
+        if kwargs["seed"] == label_seed(11, label):
+            raise RuntimeError("injected")
+        return Simulation(network, **kwargs)
+
+    monkeypatch.setattr(twin, "Simulation", simulation)
+    cfg = small_config(
+        tmp_path,
+        horizon=900.0, warmup=150.0, cooldown=150.0,
+        twin={"factors": [0.8, 1.0, 1.2], "period": 300.0,
+              "job_horizon": 450.0, "job_warmup": 150.0},
+    )
+    out = tmp_path / "twin"
+    assert run_cli("twin", "--config", str(cfg), "--seed", "11",
+                   "--scenario", "1", "--out", str(out)) == 0
+    manifest = json.loads((out / "twin_manifest.json").read_text())
+    assert [p["matched_index"] for p in manifest["periods"]] == [1, 1]
+    assert [line.removeprefix("twin: warning: ").split(",")[0]
+            for line in capsys.readouterr().err.splitlines()] == warnings
+
+
 def test_twin_manifest_dimensions_populated(tmp_path):
     cfg = small_config(
         tmp_path,

@@ -149,34 +149,66 @@ def test_run_parallel_parallelism_invariant(grid3):
 
 
 @pytest.fixture
-def inline_pools(monkeypatch):
-    """Replace ProcessPoolExecutor by an inline stand-in that runs each job
-    when it is submitted; returns the stand-ins in order of construction.
-    No real pool is started."""
+def inline_pools(monkeypatch, request):
+    """Replace ProcessPoolExecutor by an in-process stand-in; returns the
+    stand-ins in order of construction.  No real pool is started.
+
+    A stand-in runs each job when it is submitted, unless the fixture's
+    parameter (or the class's ``defer``) says when a job runs instead:
+    "last-first", when a result is first asked for, every pending job, the
+    last submitted first; "own", when its own result is asked for.  A
+    shutdown runs the jobs still pending, or with ``cancel_futures``
+    cancels them.  ``ran`` lists the job ids in the order they ran."""
     import concurrent.futures
 
     made = []
 
+    class DeferredFuture(concurrent.futures.Future):
+        def __init__(self, pool, fn, args):
+            super().__init__()
+            self.pool, self.fn, self.args = pool, fn, args
+
+        def result(self, timeout=None):
+            self.pool.run_for(self)
+            return super().result(timeout)
+
     class InlineExecutor:
+        defer = getattr(request, "param", None)
+
         def __init__(self, max_workers):
             self.max_workers = max_workers
-            self.shutdowns = 0
+            self.shutdowns = []  # the cancel_futures of each shutdown
+            self.pending = []
+            self.ran = []
             made.append(self)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.shutdown()
-            return False
-
-        def shutdown(self, wait=True):
-            self.shutdowns += 1
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.shutdowns.append(cancel_futures)
+            for future in list(self.pending):
+                if cancel_futures:
+                    self.pending.remove(future)
+                    future.cancel()
+                else:
+                    self.run(future)
 
         def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
+            future = DeferredFuture(self, fn, args)
+            self.pending.append(future)
+            if self.defer is None:
+                self.run(future)
             return future
+
+        def run(self, future):
+            self.pending.remove(future)
+            self.ran.append(future.args[1].job_id)
+            future.set_result(future.fn(*future.args))
+
+        def run_for(self, future):
+            if self.defer == "last-first":
+                for pending in reversed(self.pending):
+                    self.run(pending)
+            elif future in self.pending:
+                self.run(future)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     return made
@@ -188,15 +220,17 @@ def test_run_parallel_starts_at_most_one_worker_per_job(grid3, inline_pools):
     for parallelism in (5000, 2):
         results = run_parallel(grid3, jobs, parallelism=parallelism)
         assert [r.to_dict() for r in results] == serial
-    assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [(3, 1), (2, 1)]
+    assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [
+        (3, [False]), (2, [False])
+    ]
 
 
-def short_twin(grid, parallelism):
-    # Two periods of nine jobs each.
+def short_twin(grid, parallelism, initial_algorithm="baseline"):
+    # Two periods of nine jobs each; candidate 1 is matched in both.
     ods = grid.straight_od_pairs()[:4]
     program = [DemandPhase(0.0, tuple(Flow(o, d, 80.0) for o, d in ods))]
     settings = TwinSettings(period=300.0, job_horizon=300.0, job_warmup=100.0,
-                            parallelism=parallelism)
+                            parallelism=parallelism, initial_algorithm=initial_algorithm)
     clock = SimClock(dt=1.0, horizon=900.0, warmup=100.0, cooldown=100.0)
     return live_loop(grid, program, settings, seed=9, clock=clock)
 
@@ -205,13 +239,15 @@ def test_live_loop_runs_every_period_in_one_pool(grid3, inline_pools):
     serial, _, _ = short_twin(grid3, parallelism=1)
     assert inline_pools == []
     manifest, _, _ = short_twin(grid3, parallelism=2)
-    assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [(2, 1)]
+    assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [(2, [False])]
     assert len(manifest["periods"]) == 2
     assert manifest["settings"]["parallelism"] == 2
     assert {**manifest, "settings": {**manifest["settings"], "parallelism": 1}} == serial
 
 
 def test_live_loop_shuts_the_pool_down_when_a_period_raises(grid3, inline_pools, monkeypatch):
+    import concurrent.futures
+
     import signaltwin.twin as twin
 
     calls = []
@@ -223,9 +259,82 @@ def test_live_loop_shuts_the_pool_down_when_a_period_raises(grid3, inline_pools,
         return match_demand(measured, candidates)
 
     monkeypatch.setattr(twin, "match_demand", match_demand_failing_in_period_1)
+    # A job runs only when its result is asked for: period 0 waits for its
+    # matched candidate's jobs, so the other six are still queued when
+    # period 1 raises, and must be cancelled, not run.
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "defer", "own")
     with pytest.raises(RuntimeError, match="period 1 failed"):
         short_twin(grid3, parallelism=2)
-    assert [(pool.max_workers, pool.shutdowns) for pool in inline_pools] == [(2, 1)]
+    [pool] = inline_pools
+    assert (pool.max_workers, pool.shutdowns) == (2, [True])
+    assert pool.ran == ["p000-c1-baseline", "p000-c1-dt1", "p000-c1-dt2"]
+    assert pool.pending == []
+
+
+@pytest.mark.parametrize("inline_pools", ["last-first", "own"], indirect=True)
+def test_live_loop_manifest_does_not_depend_on_the_order_jobs_finish(grid3, inline_pools):
+    serial, serial_result, _ = short_twin(grid3, parallelism=1)
+    manifest, result, _ = short_twin(grid3, parallelism=2)
+    [pool] = inline_pools
+    matched = [f"p00{p}-c1-{algo}" for p in (0, 1) for algo in ALGORITHMS]
+    if pool.defer == "last-first":
+        # Period 0 submits its matched candidate's jobs, then the others,
+        # heaviest first; its first wait runs all nine, the last first.
+        submitted = [f"p000-c{c}-{algo}" for c in (1, 2, 0) for algo in ALGORITHMS]
+        assert pool.ran[:9] == submitted[::-1]
+    else:
+        # The other candidates' jobs of both periods run only when the
+        # live run has ended.
+        assert pool.ran[:6] == matched
+    assert sorted(pool.ran) == sorted(j["job_id"] for p in serial["periods"] for j in p["jobs"])
+    assert {**manifest, "settings": {**manifest["settings"], "parallelism": 1}} == serial
+    assert result.to_dict() == serial_result.to_dict()
+
+
+def fail_the_job(monkeypatch, label):
+    """Make the twin job of seed label ``label`` (at seed 9) fail as it
+    is built; every other simulation runs as it would."""
+    import signaltwin.twin as twin
+    from signaltwin.traffic import label_seed
+
+    bad_seed = label_seed(9, label)
+
+    def simulation(network, **kwargs):
+        if kwargs["seed"] == bad_seed:
+            raise RuntimeError("injected")
+        return Simulation(network, **kwargs)
+
+    monkeypatch.setattr(twin, "Simulation", simulation)
+
+
+def test_a_failed_job_of_the_matched_candidate_degrades_its_period(grid3, monkeypatch):
+    # Without the failure, period 0 selects baseline and swaps from dt1.
+    reference, _, _ = short_twin(grid3, parallelism=1, initial_algorithm="dt1")
+    assert [e["tag"] for e in reference["swap_events"]] == ["period-0"]
+    fail_the_job(monkeypatch, "twin:p0:c1:baseline")
+    manifest, _, _ = short_twin(grid3, parallelism=1, initial_algorithm="dt1")
+    period = manifest["periods"][0]
+    assert period["matched_index"] == 1
+    assert period["degraded"] is True
+    assert period["selection"] is None
+    failed = [(j["job_id"], j["error"]) for j in period["jobs"] if j["error"]]
+    assert failed == [("p000-c1-baseline", "RuntimeError: injected")]
+    # The controller is kept through period 0; period 1 makes the swap.
+    assert [e["tag"] for e in manifest["swap_events"]] == ["period-1"]
+    assert manifest["periods"][1] == reference["periods"][1]
+
+
+def test_a_failed_job_of_another_candidate_leaves_the_selection(grid3, monkeypatch):
+    reference, _, _ = short_twin(grid3, parallelism=1, initial_algorithm="dt1")
+    fail_the_job(monkeypatch, "twin:p0:c0:dt2")
+    manifest, _, _ = short_twin(grid3, parallelism=1, initial_algorithm="dt1")
+    period = manifest["periods"][0]
+    assert period["degraded"] is False
+    assert period["selection"] == reference["periods"][0]["selection"]
+    failed = [(j["job_id"], j["error"]) for j in period["jobs"] if j["error"]]
+    assert failed == [("p000-c0-dt2", "RuntimeError: injected")]
+    assert manifest["swap_events"] == reference["swap_events"]
+    assert manifest["live_summary"] == reference["live_summary"]
 
 
 def test_live_loop_jobs_use_the_departure_mode(grid3, monkeypatch):
@@ -270,7 +379,7 @@ def test_live_loop_refuses_bad_settings_before_any_job(grid3, monkeypatch, bad, 
     def no_jobs(*args, **kwargs):
         raise AssertionError("a job ran")
 
-    monkeypatch.setattr(twin, "run_parallel", no_jobs)
+    monkeypatch.setattr(twin, "_execute_job", no_jobs)
     ods = grid3.straight_od_pairs()[:4]
     program = [DemandPhase(0.0, tuple(Flow(o, d, 80.0) for o, d in ods))]
     clock = SimClock(dt=1.0, horizon=900.0, warmup=0.0, cooldown=0.0)
@@ -283,7 +392,7 @@ def test_live_loop_refuses_a_negative_seed_before_any_job(grid3, monkeypatch):
     import signaltwin.twin as twin
 
     calls = []
-    monkeypatch.setattr(twin, "run_parallel", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(twin, "_execute_job", lambda *args, **kwargs: calls.append(args))
     ods = grid3.straight_od_pairs()[:4]
     program = [DemandPhase(0.0, tuple(Flow(o, d, 80.0) for o, d in ods))]
     clock = SimClock(dt=1.0, horizon=600.0, warmup=0.0, cooldown=0.0)
@@ -494,24 +603,25 @@ def test_subject_flows_of_no_pairs(grid3):
 def test_live_loop_jobs_run_the_subject_slice_at_the_candidate_rates(grid3, monkeypatch):
     import signaltwin.twin as twin
 
-    batches = []
-    run = twin.run_parallel
+    jobs = []
+    run = twin._execute_job
 
-    def recording(network, jobs, *args):
-        batches.append(jobs)
-        return run(network, jobs, *args)
+    def recording(network, job, *args):
+        jobs.append(job)
+        return run(network, job, *args)
 
-    monkeypatch.setattr(twin, "run_parallel", recording)
+    monkeypatch.setattr(twin, "_execute_job", recording)
     ods = [COLUMN_0, THROUGH, TURN_AT_N0_2, JOINING]
     program = [DemandPhase(0.0, tuple(Flow(o, d, 120.0, 1.5) for o, d in ods))]
     settings = TwinSettings(factors=(0.8, 1.2), period=300.0, job_horizon=300.0,
                             job_warmup=100.0)
     clock = SimClock(dt=1.0, horizon=900.0, warmup=100.0, cooldown=100.0)
     manifest, _, _ = live_loop(grid3, program, settings, seed=4, clock=clock)
-    assert len(batches) == len(manifest["periods"]) == 2
-    for jobs, period in zip(batches, manifest["periods"]):
-        assert len(jobs) == 6
-        for job in jobs:
+    batches = [[job for job in jobs if job.job_id.startswith(f"p00{p}-")] for p in (0, 1)]
+    assert len(manifest["periods"]) == 2 and sum(map(len, batches)) == len(jobs)
+    for batch, period in zip(batches, manifest["periods"]):
+        assert len(batch) == 6
+        for job in batch:
             rates = period["candidates"][job.candidate_index]
             assert job.flows == tuple(Flow(*ods[i], rates[i], 1.5) for i in (1, 3))
 
