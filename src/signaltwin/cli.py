@@ -34,6 +34,7 @@ from .traffic import (
     Vehicle,
     VehicleParams,
     _check_distinct_pairs,
+    _check_seed,
     _check_vehicle_fits,
     departure_rows,
     scenario_catalog,
@@ -83,14 +84,14 @@ class RunConfig:
     ladder_factor: float = 0.25
     algorithms: tuple[str, ...] = ("baseline",)
     seed: int = 0
-    dt: float = 1.0
-    horizon: float = 3600.0
-    warmup: float = 600.0
-    cooldown: float = 600.0
-    departure_mode: str = "poisson"
+    dt: float = SimClock.dt
+    horizon: float = SimClock.horizon
+    warmup: float = SimClock.warmup
+    cooldown: float = SimClock.cooldown
+    departure_mode: str = TwinSettings.departure_mode
     carryover_turns: bool = True
     log_trajectory: bool = True
-    parallelism: int = 1
+    parallelism: int = TwinSettings.parallelism
     vehicle: dict = field(default_factory=dict)
     out: str = "runs/out"
     twin: dict = field(default_factory=dict)
@@ -146,10 +147,9 @@ def _resolve(config: RunConfig, command: str) -> _Resolved:
         raise ConfigError("compare needs at least two algorithms, baseline among them")
     if config.departure_mode not in DEPARTURE_MODES:
         raise ConfigError(f"departure_mode {config.departure_mode!r} is not in {DEPARTURE_MODES}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {config.seed}")
     times = {f.name: getattr(config, f.name) for f in fields(SimClock)}
     with _config_errors(""):
+        _check_seed(config.seed)
         clock = SimClock(**_checked(times, SimClock))
     with _config_errors("vehicle: "):
         vehicle = VehicleParams(**_checked(config.vehicle, VehicleParams, "vehicle"))

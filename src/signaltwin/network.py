@@ -260,7 +260,7 @@ class Network:
             direction = seg.movement.direction
             node = seg.to_node
             while True:
-                nxt = self._same_direction_out(node, direction)
+                nxt = _same_direction(self, self._outgoing, node, direction)
                 if nxt is None:
                     break
                 node = self.segments[nxt].to_node
@@ -269,17 +269,15 @@ class Network:
                     break
         return pairs
 
-    def _same_direction_out(self, node_id: str, direction: str) -> str | None:
-        for seg_id in self._outgoing.get(node_id, ()):
-            if self.segments[seg_id].movement.direction == direction:
-                return seg_id
-        return None
 
-    def _same_direction_in(self, node_id: str, direction: str) -> str | None:
-        for seg_id in self._incoming.get(node_id, ()):
-            if self.segments[seg_id].movement.direction == direction:
-                return seg_id
-        return None
+def _same_direction(
+    network: Network, adjacency: dict[str, list[str]], node_id: str, direction: str
+) -> str | None:
+    """The first segment of ``adjacency[node_id]`` that heads in ``direction``."""
+    for seg_id in adjacency.get(node_id, ()):
+        if network.segments[seg_id].movement.direction == direction:
+            return seg_id
+    return None
 
 
 # -- construction --------------------------------------------------------
@@ -442,7 +440,7 @@ def upstream_approach(network: Network, approach: str) -> str | None:
     seg = network.segment(approach)
     if seg.from_node in network.boundary_nodes:
         return None
-    return network._same_direction_in(seg.from_node, seg.movement.direction)
+    return _same_direction(network, network._incoming, seg.from_node, seg.movement.direction)
 
 
 # -- serialization --------------------------------------------------------

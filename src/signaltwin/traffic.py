@@ -591,10 +591,10 @@ class Simulation:
         ``MOVEMENT_INDEX`` order.
 
         The baseline's are ``controllers.approach_density`` over lane-miles
-        computed once.  dt1's and dt2's are the mean of the approach's
-        per-vehicle delays, taken as ``delay.approach_delays`` takes it, so
-        that the floats agree.  Either is 0 on an empty approach, which
-        low-density runs meet often, so its slots are left at 0.0.
+        computed once.  dt1's and dt2's are the approach's mean delay, taken
+        as ``delay.average_approach_delay(...).average`` takes it, so that
+        the floats agree.  Either is 0 on an empty approach, which low-density
+        runs meet often, so its slots are left at 0.0.
         """
         values = [0.0] * len(ALL_MOVEMENTS)
         approaches = self._subject_approaches

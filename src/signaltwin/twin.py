@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -261,14 +261,18 @@ def _submit(
     pool: Executor | None,
     vehicle: VehicleParams | None,
     carryover_turns: bool,
+    first: Callable[[SimulationJob], bool] = lambda job: False,
 ) -> list[Future]:
     """Start ``jobs`` and return their futures, in the order of ``jobs``.
 
-    The heaviest jobs start first, by their flows' total vph, so that the
-    longest job does not start last while a worker idles; ties keep the
-    order of ``jobs``.  Without a pool each job runs here, at once, and
-    its future is done.  The order cannot change a result: each job is a
-    pure function of its inputs.
+    The jobs for which ``first`` holds are submitted before the others,
+    and within each group the heaviest first, by their flows' total vph,
+    so that the longest job does not start last while a worker idles;
+    ties keep the order of ``jobs``.  A pool runs jobs first in, first
+    out, so these queue behind any that an earlier call left running.
+    Without a pool each job runs here, at once, and its future is done.
+    The order cannot change a result: each job is a pure function of its
+    inputs.
     """
     from concurrent.futures import Future
 
@@ -279,8 +283,8 @@ def _submit(
         done.set_result(_execute_job(network, job, vehicle, carryover_turns))
         return done
 
-    heaviest_first = sorted(range(len(jobs)), key=lambda i: -sum(f.vph for f in jobs[i].flows))
-    started = {i: start(jobs[i]) for i in heaviest_first}
+    keys = [(not first(job), -sum(f.vph for f in job.flows)) for job in jobs]
+    started = {i: start(jobs[i]) for i in sorted(range(len(jobs)), key=keys.__getitem__)}
     return [started[i] for i in range(len(jobs))]
 
 
@@ -290,19 +294,17 @@ def run_parallel(
     parallelism: int = 1,
     vehicle: VehicleParams | None = None,
     carryover_turns: bool = True,
-    pool: Executor | None = None,
 ) -> list[SimulationResult]:
     """Run independent jobs and return results sorted by job id.
 
     Output is invariant to the degree of parallelism: each job is a pure
     function of its own seed and inputs, and a failure is captured in
     that job's result slot without affecting the others.  The jobs go to
-    ``pool`` if one is given; otherwise to a ``worker_pool`` opened for
-    this call alone, which starts at most one worker per job.
+    a ``worker_pool`` opened for this call alone, which starts at most one
+    worker per job.
     """
     ordered = sorted(jobs, key=lambda j: j.job_id)
-    opened = nullcontext(pool) if pool is not None else worker_pool(parallelism, len(ordered))
-    with opened as executor:
+    with worker_pool(parallelism, len(ordered)) as executor:
         futures = _submit(network, ordered, executor, vehicle, carryover_turns)
         return [f.result() for f in futures]
 
@@ -424,11 +426,6 @@ def estimate_demand(
     return DemandEstimate(window_length=window, vph=tuple(vph))
 
 
-def _record_outcome(row: dict, result: SimulationResult) -> None:
-    row["score"] = result.mean_control_delay
-    row["error"] = result.error
-
-
 def _collect(behind: list[tuple[dict, Future]], wait: bool) -> list[tuple[dict, Future]]:
     """Write the score and error of each finished job into its row, all of
     them if ``wait``; return the jobs still running.  A finished job keeps
@@ -436,7 +433,8 @@ def _collect(behind: list[tuple[dict, Future]], wait: bool) -> list[tuple[dict, 
     running = []
     for row, future in behind:
         if wait or future.done():
-            _record_outcome(row, future.result())
+            result = future.result()
+            row["score"], row["error"] = result.mean_control_delay, result.error
         else:
             running.append((row, future))
     return running
@@ -507,8 +505,8 @@ def live_loop(
     # so that the live run's set-up does not include loading it.
     sim.run_until(settings.period)
     with worker_pool(settings.parallelism, len(settings.factors) * len(ALGORITHMS)) as pool:
-        # The other candidates' jobs still running behind the live run,
-        # each with the manifest row it completes.
+        # Every job whose manifest row is not yet written, with that row.
+        # Only other candidates' jobs are still running behind the live run.
         behind: list[tuple[dict, Future]] = []
         for p, t_eval in enumerate(eval_times):
             sim.run_until(t_eval)
@@ -543,18 +541,13 @@ def live_loop(
                 for job in jobs
             ]
             # The selection reads only the matched candidate's jobs: they
-            # start first, and only they are waited for.  The others finish
-            # behind the live run.
-            first = [(job, row) for job, row in zip(jobs, rows) if job.candidate_index == matched]
-            rest = [(job, row) for job, row in zip(jobs, rows) if job.candidate_index != matched]
-            waited = _submit(network, [job for job, _ in first], pool, vehicle, carryover_turns)
-            behind += zip(
-                [row for _, row in rest],
-                _submit(network, [job for job, _ in rest], pool, vehicle, carryover_turns),
-            )
-            matched_results = [(job, future.result()) for (job, _), future in zip(first, waited)]
-            for (_, row), (_, res) in zip(first, matched_results):
-                _record_outcome(row, res)
+            # are submitted first, and only they are waited for.  The others
+            # finish behind the live run.
+            futures = _submit(network, jobs, pool, vehicle, carryover_turns,
+                              first=lambda job: job.candidate_index == matched)
+            behind += zip(rows, futures)
+            matched_results = [(job, future.result()) for job, future in zip(jobs, futures)
+                               if job.candidate_index == matched]
             degraded = any(res.error for _, res in matched_results)
             record = {
                 "period": p,

@@ -364,6 +364,16 @@ def program(*phases):
                                      {"start": 300.0, "flows": [OTHER_FLOW]}),
                      "twin.demand_program[1].flows", id="program-od-lists-differ"),
         pytest.param("simulate", {"scenario": 3.7}, "scenario", id="scenario-not-integer"),
+        pytest.param("simulate", {"scenario": 12}, "scenario must be 1..11, got 12",
+                     id="scenario-out-of-range"),
+        pytest.param("simulate", {"scenario": None},
+                     "either a scenario number, scenario file or explicit flows",
+                     id="neither-scenario-nor-flows"),
+        pytest.param("simulate", {"scenario_file": [{**FLOW, "origin": "nope"}]},
+                     "scenario.json: flows[0].origin", id="scenario-file-bare-flow-list"),
+        pytest.param("simulate", {"scenario_file": {"scenario_id": 3}},
+                     "scenario.json must be a flow list or an object with 'flows'",
+                     id="scenario-file-without-flows"),
         pytest.param("twin", program({"start": 0.0, "scenario": "two"}),
                      "twin.demand_program[0].scenario", id="program-scenario-not-integer"),
         pytest.param("simulate", {"base_vph": 0, "scenario": 2}, "base_vph",
@@ -397,6 +407,44 @@ def test_invalid_demand_exit_2(tmp_path, capsys, command, extra, field):
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_runs_a_slice_of_every_flow_as_one_simulation(tmp_path, monkeypatch):
+    # Both flows cross the subject intersection, so with the trajectory off
+    # the slice is every flow and no rest is run: each algorithm runs every
+    # flow in one Simulation, as with the trajectory on, to the same bytes.
+    made, original = [], cli.Simulation
+
+    def simulation(network, **kwargs):
+        made.append(sorted({row[1] for row in kwargs["schedule"]}))
+        return original(network, **kwargs)
+
+    monkeypatch.setattr(cli, "Simulation", simulation)
+    algorithms = ("baseline", "dt1", "dt2")
+    outs = {}
+    for log_trajectory in (False, True):
+        made.clear()
+        cfg = small_config(tmp_path, flows=[FLOW, OTHER_FLOW], horizon=600.0, warmup=100.0,
+                           cooldown=100.0, log_trajectory=log_trajectory)
+        outs[log_trajectory] = tmp_path / f"cmp-{log_trajectory}"
+        assert run_cli("compare", "--config", str(cfg), "--algorithm", ",".join(algorithms),
+                       "--out", str(outs[log_trajectory])) == 0
+        assert made == [[0, 1]] * len(algorithms)
+    for algo in algorithms:
+        for name in ("summary.json", "signals.csv", "departures.csv"):
+            ours = (outs[False] / algo / name).read_bytes()
+            assert ours == (outs[True] / algo / name).read_bytes(), (algo, name)
+
+
+def test_runtime_error_exit_3(tmp_path, capsys, monkeypatch):
+    # A failure inside a run is not a config error: exit 3, naming its type.
+    def fail(self):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli.Simulation, "run", fail)
+    cfg = small_config(tmp_path)
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == "runtime error: RuntimeError: injected\n"
 
 
 @pytest.mark.parametrize(
@@ -441,6 +489,10 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
     assert not out.exists()
 
 
+# The library's message (traffic._check_seed), which every command prints.
+NEGATIVE_SEED = "config error: seed must be a non-negative integer, got -1"
+
+
 @pytest.mark.parametrize(
     "command, extra, field",
     [
@@ -468,14 +520,16 @@ def test_invalid_twin_settings_exit_2(tmp_path, capsys, twin_cfg, field):
         pytest.param("twin", {"vehicle": {"length": 1e6}}, "vehicle.length (1000000.0 m)",
                      id="twin-vehicle-longer-than-segment"),
         pytest.param("simulate", {"algorithm": "dt1"}, "algorithm", id="algorithm-alias-removed"),
+        pytest.param("simulate", {"algorithms": ["baseline", "dt1"]},
+                     "simulate takes exactly one algorithm", id="simulate-two-algorithms"),
         pytest.param("simulate", {"seed": "x"}, "seed", id="seed-string"),
         pytest.param("simulate", {"seed": True}, "seed", id="seed-bool"),
-        pytest.param("simulate", {"seed": -1}, "seed", id="simulate-seed-negative"),
-        pytest.param("simulate", {"seed": -1, "departure_mode": "uniform"}, "seed",
+        pytest.param("simulate", {"seed": -1}, NEGATIVE_SEED, id="simulate-seed-negative"),
+        pytest.param("simulate", {"seed": -1, "departure_mode": "uniform"}, NEGATIVE_SEED,
                      id="simulate-uniform-seed-negative"),
-        pytest.param("compare", {"seed": -1, "algorithms": ["baseline", "dt1"]}, "seed",
+        pytest.param("compare", {"seed": -1, "algorithms": ["baseline", "dt1"]}, NEGATIVE_SEED,
                      id="compare-seed-negative"),
-        pytest.param("twin", {"seed": -1}, "seed", id="twin-seed-negative"),
+        pytest.param("twin", {"seed": -1}, NEGATIVE_SEED, id="twin-seed-negative"),
         pytest.param("simulate", {"horizon": "900"}, "horizon", id="horizon-string"),
         pytest.param("simulate", {"horizon": 10**400}, "horizon", id="horizon-beyond-float"),
         pytest.param("simulate", {"horizon": 1e308, "dt": 0.5, "warmup": 0, "cooldown": 0},

@@ -13,7 +13,7 @@ stop-line movement and left-turn flag), and that a vehicle that crossed
 in a step is not moved again in it.
 Every decision of the subject's controller, under each algorithm, must
 equal ``controllers.decide`` over ``approach_density`` and
-``approach_delays``, which the engine computes in one pass of its own.
+``average_approach_delay``, which the engine computes in one pass of its own.
 No logged value is ever ``-0.0``, which the trajectory writer's repr memo
 could not tell from ``0.0``, and a vehicle's cached row key names its
 current segment: set back on every crossing, and cleared when it exits.
@@ -34,7 +34,7 @@ from signaltwin.controllers import (
 from signaltwin.delay import (
     DelayLedger,
     LedgerCorruptionError,
-    approach_delays,
+    average_approach_delay,
     update_waiting,
 )
 from signaltwin.network import ALL_MOVEMENTS, build_grid
@@ -55,7 +55,7 @@ HORIZON = 600.0
 
 def _reference_values(sim):
     """The subject's eight decision values under ``sim.algorithm``, from
-    ``approach_density`` and ``approach_delays``, in ``ALL_MOVEMENTS`` order."""
+    ``approach_density`` and ``average_approach_delay``, in ``ALL_MOVEMENTS`` order."""
     net = sim.network
     values = {}
     for seg_id in net.incoming(net.subject_intersection):
@@ -68,8 +68,9 @@ def _reference_values(sim):
             values[seg.left_movement] = approach_density(
                 len(pocket), 1, meters_to_miles(seg.length - seg.pocket_start))
         else:
-            values[seg.movement] = approach_delays(through, sim.algorithm)[1]
-            values[seg.left_movement] = approach_delays(pocket, sim.algorithm)[1]
+            values[seg.movement] = average_approach_delay(seg_id, through, sim.algorithm).average
+            values[seg.left_movement] = average_approach_delay(
+                seg_id, pocket, sim.algorithm).average
     return tuple(values[m] for m in ALL_MOVEMENTS)
 
 
@@ -212,7 +213,7 @@ _ledgers = st.builds(
 )
 def test_decision_values_are_the_observation_functions(lane_count, length, pocket_share, data):
     # The engine divides by lane-miles computed once; each value must equal
-    # approach_density and approach_delays bit for bit.
+    # approach_density and average_approach_delay bit for bit.
     net = build_grid(3, 3, length, lane_count, length * pocket_share, 13.89)
     sim = Simulation(net, schedule=[], clock=SimClock(horizon=60.0, warmup=0.0, cooldown=0.0))
     params = VehicleParams()

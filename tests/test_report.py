@@ -319,6 +319,13 @@ def test_report_rejects_summary_without_window(good_run, tmp_path, capsys):
     assert "summary.json" in err and "'window'" in err
 
 
+def test_report_rejects_summary_not_an_object(good_run, tmp_path, capsys):
+    run = broken_copy(good_run, tmp_path)
+    (run / "summary.json").write_text("[1, 2]")
+    assert f"{run / 'summary.json'} must hold a JSON object" in report_error(run, capsys)
+    assert not (run / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "name, field, value",
     [
